@@ -247,9 +247,33 @@ MotionResultRow BenchMotion() {
 
 // -------------------------------------------------------------------- nn --
 
+/// Every arch this binary can run, scalar first (narrow-to-wide).
+std::vector<simd::KernelArch> RunnableArches() {
+  std::vector<simd::KernelArch> out;
+  for (simd::KernelArch arch : simd::CompiledArches()) {
+    if (simd::ArchSupported(arch)) out.push_back(arch);
+  }
+  return out;
+}
+
+bool SameFloatBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// One kernel table's column of an fp32 inference scenario: its rate and
+/// whether its outputs were bit-identical to the scalar table's.
+struct Fp32ArchColumn {
+  const char* arch = "";
+  double value = 0;  ///< GFLOP/s (gemm) or ms per forward (backbone)
+  bool identical = false;
+};
+
 struct GemmRow {
   double naive_gflops = 0;
-  double blocked_gflops = 0;
+  double blocked_gflops = 0;  ///< nn::Gemm through the active table
+  bool bit_identical = true;  ///< every column equal to scalar
+  std::vector<Fp32ArchColumn> arches;
 };
 
 GemmRow BenchGemm() {
@@ -270,12 +294,35 @@ GemmRow BenchGemm() {
   watch.Start();
   for (int i = 0; i < laps; ++i) nn::Gemm(a.data(), b.data(), c.data(), m, k, n);
   row.blocked_gflops = flops_per_call * laps / watch.ElapsedSeconds() / 1e9;
+
+  // Every supported table on the same operands, each checked bit-for-bit
+  // against the scalar table's product.
+  std::vector<float> reference;
+  for (simd::KernelArch arch : RunnableArches()) {
+    const simd::KernelTable& table = simd::KernelsFor(arch);
+    Fp32ArchColumn col;
+    col.arch = simd::KernelArchName(arch);
+    watch.Start();
+    for (int i = 0; i < laps; ++i) {
+      table.gemm_f32(a.data(), k, b.data(), n, c.data(), n, m, n, k);
+    }
+    col.value = flops_per_call * laps / watch.ElapsedSeconds() / 1e9;
+    if (reference.empty()) reference = c;
+    col.identical = SameFloatBits(c, reference);
+    row.bit_identical = row.bit_identical && col.identical;
+    row.arches.push_back(col);
+  }
+  if (!row.bit_identical) {
+    ReportScenarioFailure("gemm", "gemm_f32 differs from the scalar table");
+  }
   return row;
 }
 
 struct ConvRow {
   double forward_ms = 0;
   double gflops = 0;  ///< MAC-derived arithmetic throughput of a full forward
+  bool bit_identical = true;  ///< every column's embedding equal to scalar
+  std::vector<Fp32ArchColumn> arches;
 };
 
 ConvRow BenchConvForward() {
@@ -287,16 +334,48 @@ ConvRow BenchConvForward() {
   for (std::size_t i = 0; i < input.size(); ++i) {
     input.values()[i] = float((i % 255) / 255.0);
   }
-  // Warm-up builds the scratch buffers.
-  (void)net.Forward(input);
   const int laps = 10;
-  Stopwatch watch;
-  for (int i = 0; i < laps; ++i) (void)net.Forward(input);
-  const double seconds = watch.ElapsedSeconds();
+  const auto time_forward = [&](std::vector<float>* embedding) {
+    *embedding = net.Forward(input).values();  // warm-up builds the scratch
+    Stopwatch watch;
+    for (int i = 0; i < laps; ++i) (void)net.Forward(input);
+    return watch.ElapsedSeconds();
+  };
+  std::vector<float> embedding;
+  const double seconds = time_forward(&embedding);
   ConvRow row;
   row.forward_ms = seconds * 1e3 / laps;
   row.gflops = 2.0 * double(macs) * laps / seconds / 1e9;
+
+  // The same forward pinned to each supported table: the embedding must be
+  // bit-identical to the scalar table's.
+  std::vector<float> reference;
+  for (simd::KernelArch arch : RunnableArches()) {
+    const simd::ScopedKernelArch pin(arch);
+    Fp32ArchColumn col;
+    col.arch = simd::KernelArchName(arch);
+    col.value = time_forward(&embedding) * 1e3 / laps;
+    if (reference.empty()) reference = embedding;
+    col.identical = SameFloatBits(embedding, reference);
+    row.bit_identical = row.bit_identical && col.identical;
+    row.arches.push_back(col);
+  }
+  if (!row.bit_identical) {
+    ReportScenarioFailure("conv", "backbone embedding differs across tables");
+  }
   return row;
+}
+
+/// Writes an fp32 scenario's per-arch columns and closes the JSON array.
+void WriteFp32Columns(std::FILE* f, const std::vector<Fp32ArchColumn>& cols,
+                      const char* value_key) {
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    std::fprintf(f, "%s\n      {\"arch\": \"%s\", \"%s\": %.3f, "
+                 "\"identical\": %s}",
+                 i == 0 ? "" : ",", cols[i].arch, value_key, cols[i].value,
+                 cols[i].identical ? "true" : "false");
+  }
+  std::fprintf(f, "%s    ]\n", cols.empty() ? "" : "\n");
 }
 
 // --------------------------------------------------------- kernel micros --
@@ -418,10 +497,10 @@ KernelBenchRow BenchDctSadKernels() {
   std::uint64_t sum_scalar = 0;
   row.sad_scalar_mpix_s = time_sad(scalar, &sum_scalar);
 
-  // Measure every supported non-scalar table even under SIEVE_FORCE_SCALAR
-  // or SIEVE_KERNEL_ARCH: the env pins production dispatch, not the A/B
-  // harness. CompiledArches() lists narrow-to-wide, so the last supported
-  // entry is the best table — its column also fills the legacy simd fields.
+  // Measure every supported non-scalar table even under SIEVE_KERNEL_ARCH:
+  // the env pins production dispatch, not the A/B harness. CompiledArches()
+  // lists narrow-to-wide, so the last supported entry is the best table —
+  // its column also fills the legacy simd fields.
   for (simd::KernelArch arch : simd::CompiledArches()) {
     if (arch == simd::KernelArch::kScalar || !simd::ArchSupported(arch)) {
       continue;
@@ -1894,15 +1973,26 @@ int main(int argc, char** argv) {
   const GemmRow gemm = Enabled("gemm") ? BenchGemm() : GemmRow{};
   if (Enabled("gemm")) {
     std::printf("gemm 1024x288x64: naive %.2f GFLOP/s | blocked %.2f GFLOP/s "
-                "(%.2fx)\n",
+                "(%.2fx) | bit-identical: %s\n",
                 gemm.naive_gflops, gemm.blocked_gflops,
-                Ratio(gemm.blocked_gflops, gemm.naive_gflops));
+                Ratio(gemm.blocked_gflops, gemm.naive_gflops),
+                gemm.bit_identical ? "yes" : "NO");
+    for (const auto& col : gemm.arches) {
+      std::printf("  %-6s %.2f GFLOP/s | identical: %s\n", col.arch,
+                  col.value, col.identical ? "yes" : "NO");
+    }
   }
 
   const ConvRow conv = Enabled("conv") ? BenchConvForward() : ConvRow{};
   if (Enabled("conv")) {
-    std::printf("backbone forward (3x96x96): %.2f ms (%.2f GFLOP/s)\n",
-                conv.forward_ms, conv.gflops);
+    std::printf("backbone forward (3x96x96): %.2f ms (%.2f GFLOP/s) | "
+                "bit-identical: %s\n",
+                conv.forward_ms, conv.gflops,
+                conv.bit_identical ? "yes" : "NO");
+    for (const auto& col : conv.arches) {
+      std::printf("  %-6s %.3f ms | identical: %s\n", col.arch, col.value,
+                  col.identical ? "yes" : "NO");
+    }
   }
 
   const MultiSessionResult multi =
@@ -2106,22 +2196,32 @@ int main(int argc, char** argv) {
                "  \"gemm_1024x288x64\": {\n"
                "    \"naive_gflops\": %.3f,\n"
                "    \"blocked_gflops\": %.3f,\n"
-               "    \"speedup\": %.3f\n"
+               "    \"speedup\": %.3f,\n"
+               "    \"bit_identical\": %s,\n"
+               "    \"arches\": [",
+               kernels.arches.empty() ? "" : "\n",
+               gemm.naive_gflops, gemm.blocked_gflops,
+               Ratio(gemm.blocked_gflops, gemm.naive_gflops),
+               gemm.bit_identical ? "true" : "false");
+  WriteFp32Columns(f, gemm.arches, "gflops");
+  std::fprintf(f,
                "  },\n"
                "  \"backbone_forward_3x96x96\": {\n"
                "    \"ms\": %.3f,\n"
-               "    \"gflops\": %.3f\n"
+               "    \"gflops\": %.3f,\n"
+               "    \"bit_identical\": %s,\n"
+               "    \"arches\": [",
+               conv.forward_ms, conv.gflops,
+               conv.bit_identical ? "true" : "false");
+  WriteFp32Columns(f, conv.arches, "ms");
+  std::fprintf(f,
                "  },\n"
                "  \"multi_session\": {\n"
                "    \"sessions\": %zu,\n"
                "    \"frames_total\": %zu,\n"
                "    \"aggregate_fps\": %.2f,\n"
                "    \"stages\": [",
-               kernels.arches.empty() ? "" : "\n",
-               gemm.naive_gflops, gemm.blocked_gflops,
-               Ratio(gemm.blocked_gflops, gemm.naive_gflops),
-               conv.forward_ms, conv.gflops, multi.sessions,
-               multi.frames_total, multi.aggregate_fps);
+               multi.sessions, multi.frames_total, multi.aggregate_fps);
   for (std::size_t i = 0; i < multi.stages.size(); ++i) {
     const auto& stage = multi.stages[i];
     std::fprintf(f,

@@ -1,13 +1,15 @@
-// Scalar reference kernels + the dispatch machinery. This TU (like the other
-// kernel TUs) is compiled with -ffp-contract=off: the bit-exactness contract
-// across scalar/SSE2/NEON depends on no mul+add pair being contracted into an
-// FMA on either side.
+// Scalar reference kernels + the dispatch machinery. This TU (like the whole
+// library) is compiled with -ffp-contract=off: the bit-exactness contract
+// across scalar/SSE2/AVX2/NEON depends on no mul+add pair being contracted
+// into an FMA on either side.
 #include "common/simd/kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "common/simd/kernels_internal.h"
 
@@ -179,10 +181,85 @@ void QuantizeActU8Scalar(const float* x, std::size_t len, float inv_scale,
   }
 }
 
+}  // namespace
+
+// ------------------------------------------------------ scalar fp32 GEMM --
+
+void GemmF32EdgeScalar(const float* a, int lda, const float* b, int ldb,
+                       float* c, int ldc, int mr, int nr, int p0, int p1,
+                       bool first) {
+  for (int r = 0; r < mr; ++r) {
+    float* crow = c + std::ptrdiff_t(r) * ldc;
+    const float* arow = a + std::ptrdiff_t(r) * lda;
+    if (first) std::fill(crow, crow + nr, 0.0f);
+    for (int p = p0; p < p1; ++p) {
+      const float av = arow[p];
+      const float* brow = b + std::ptrdiff_t(p) * ldb;
+      for (int s = 0; s < nr; ++s) crow[s] += av * brow[s];
+    }
+  }
+}
+
+// The reference is the definition itself, one output row at a time: each
+// row accumulates in place, term by term in ascending p. The vector tables'
+// register tiles and K panels reorder which outputs are in flight, never an
+// output's own operation sequence.
+void GemmF32Scalar(const float* a, int lda, const float* b, int ldb, float* c,
+                   int ldc, int m, int n, int k) {
+  GemmF32EdgeScalar(a, lda, b, ldb, c, ldc, m, n, 0, k, true);
+}
+
+// ------------------------------------------------ scalar fp32 elementwise --
+
+void ScaleShiftRowsF32Scalar(float* x, int rows, std::size_t len,
+                             const float* scale, const float* shift) {
+  for (int r = 0; r < rows; ++r) {
+    float* row = x + std::size_t(r) * len;
+    const float t = shift[r];
+    if (scale == nullptr) {
+      for (std::size_t i = 0; i < len; ++i) row[i] = row[i] + t;
+    } else {
+      const float s = scale[r];
+      for (std::size_t i = 0; i < len; ++i) row[i] = row[i] * s + t;
+    }
+  }
+}
+
+void LeakyReluF32Scalar(float* x, std::size_t len, float slope) {
+  for (std::size_t i = 0; i < len; ++i) {
+    if (x[i] < 0) x[i] *= slope;
+  }
+}
+
+void MaxPoolF32Scalar(const float* in, int channels, int h, int w, int size,
+                      float* out) {
+  const int oh = std::max(1, h / size), ow = std::max(1, w / size);
+  for (int c = 0; c < channels; ++c) {
+    const float* plane = in + std::size_t(c) * std::size_t(h) * std::size_t(w);
+    for (int oy = 0; oy < oh; ++oy) {
+      for (int ox = 0; ox < ow; ++ox) {
+        float best = -std::numeric_limits<float>::infinity();
+        for (int ky = 0; ky < size && oy * size + ky < h; ++ky) {
+          const float* row =
+              plane + std::size_t(oy * size + ky) * std::size_t(w);
+          for (int kx = 0; kx < size && ox * size + kx < w; ++kx) {
+            best = std::max(best, row[ox * size + kx]);
+          }
+        }
+        *out++ = best;
+      }
+    }
+  }
+}
+
+namespace {
+
 const KernelTable kScalarTable = {
     "scalar",        SadRowScalar,      Sad16xHScalar,      SadBoundedScalar,
     Fdct8x8Scalar,   Idct8x8Scalar,     Quantize8x8Scalar,  Dequantize8x8Scalar,
     GemmU8S8Scalar,  QuantizeActU8Scalar,
+    GemmF32Scalar,   ScaleShiftRowsF32Scalar, LeakyReluF32Scalar,
+    MaxPoolF32Scalar,
 };
 
 // --------------------------------------------------------------- dispatch --
@@ -278,24 +355,14 @@ std::vector<KernelArch> CompiledArches() {
   return arches;
 }
 
-bool ScalarForcedByEnv() noexcept {
-  const char* v = std::getenv("SIEVE_FORCE_SCALAR");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
 bool KernelArchFromEnv(KernelArch* out) noexcept {
   if (const char* v = std::getenv("SIEVE_KERNEL_ARCH")) {
     if (std::strcmp(v, "scalar") == 0) { *out = KernelArch::kScalar; return true; }
     if (std::strcmp(v, "sse2") == 0)   { *out = KernelArch::kSse2;   return true; }
     if (std::strcmp(v, "avx2") == 0)   { *out = KernelArch::kAvx2;   return true; }
     if (std::strcmp(v, "neon") == 0)   { *out = KernelArch::kNeon;   return true; }
-    return false;  // malformed: ignored, hardware-best wins
   }
-  if (ScalarForcedByEnv()) {
-    *out = KernelArch::kScalar;
-    return true;
-  }
-  return false;
+  return false;  // unset or malformed: hardware-best wins
 }
 
 KernelArch BestArch() noexcept {

@@ -1,30 +1,30 @@
-// SIMD kernel layer: runtime-dispatched implementations of the codec's
-// innermost loops — block SAD and the 8x8 DCT/IDCT + quantizer pair that
-// profiling puts at the top of a motion-heavy encode.
+// SIMD kernel layer: runtime-dispatched implementations of the library's
+// innermost loops — the codec's block SAD and 8x8 DCT/IDCT + quantizer pair,
+// and the inference engine's fp32 GEMM, conv epilogue (bias, BatchNorm,
+// LeakyRelu) and max pooling, plus the int8 GEMM and activation quantizer.
 //
 // Design rules (the whole point of this layer):
 //
 //  * Every kernel is BIT-EXACT across architectures. The scalar table is the
-//    reference; the SSE2/NEON tables perform the same floating-point
+//    reference; the SSE2/AVX2/NEON tables perform the same floating-point
 //    operations in the same order (vectorized across independent *outputs*,
 //    never across a single output's accumulation), use IEEE-exact ops only
-//    (mul/add/div — no FMA, no rsqrt/rcp approximations), and replicate
-//    std::lround's round-half-away-from-zero. The kernel translation units
-//    are compiled with -ffp-contract=off so the compiler cannot contract the
-//    scalar path into FMA either. Consequence: encoded bitstreams are
-//    byte-identical whichever table is active.
+//    (mul/add/div/max — no FMA, no rsqrt/rcp approximations), and replicate
+//    std::lround's round-half-away-from-zero. The library is compiled with
+//    -ffp-contract=off so the compiler cannot contract the scalar path (or
+//    any fp32 code outside the kernels) into FMA either. Consequence:
+//    encoded bitstreams, embeddings and labels are byte-identical whichever
+//    table is active.
 //
 //  * Dispatch is compile-time gated (each arch TU compiles to a stub
 //    returning nullptr when its ISA is unavailable) plus runtime-verified
 //    (CPUID on x86). The SIEVE_KERNEL_ARCH environment variable
 //    (scalar|sse2|avx2|neon) pins any compiled-in, CPU-supported table;
-//    SIEVE_FORCE_SCALAR — set and not "0" — remains as a legacy alias for
-//    SIEVE_KERNEL_ARCH=scalar. SetActiveKernels() overrides both for tests
-//    and tools.
+//    SetActiveKernels() overrides it for tests and tools.
 //
 //  * This layer sits at the bottom of the dependency graph (raw pointers and
-//    strides only, no media/codec types) so media/ and codec/ can both call
-//    it.
+//    strides only, no media/codec/nn types) so media/, codec/ and nn/ can
+//    all call it.
 //
 // See docs/perf.md ("The SIMD kernel layer") for how to add a kernel.
 #pragma once
@@ -103,7 +103,47 @@ struct KernelTable {
   /// codes. Inputs must be finite.
   void (*quantize_act_u8)(const float* x, std::size_t len, float inv_scale,
                           float bias, std::uint8_t* out);
+
+  // fp32 inference. Each output is produced by the same sequence of single
+  // IEEE operations in every table, so the active table never changes an
+  // embedding bit.
+
+  /// fp32 GEMM: c[i*ldc + j] = sum_{p<k} a[i*lda + p] * b[p*ldb + j] for
+  /// i < m, j < n (all row-major; `c` must not alias `a` or `b`). Every
+  /// output starts from +0.0f and adds its k terms in ascending p, each term
+  /// one IEEE multiply followed by one IEEE add — no FMA, no reassociation,
+  /// no split accumulators. The vector tables vectorize across independent
+  /// outputs and block K into kGemmKc-wide panels (a partial sum
+  /// round-trips through `c` exactly), so the result is bit-identical for
+  /// any m, n, k and table.
+  void (*gemm_f32)(const float* a, int lda, const float* b, int ldb, float* c,
+                   int ldc, int m, int n, int k);
+
+  /// Per-row affine over `rows` rows of `len` contiguous floats (channels of
+  /// a CHW tensor): x = x * scale[r] + shift[r], one IEEE multiply then one
+  /// IEEE add. `scale == nullptr` means a plain add, x = x + shift[r] (the
+  /// conv bias).
+  void (*scale_shift_rows_f32)(float* x, int rows, std::size_t len,
+                               const float* scale, const float* shift);
+
+  /// In place: x[i] = x[i] < 0 ? x[i] * slope : x[i]. NaN and -0.0 pass
+  /// through unchanged.
+  void (*leaky_relu_f32)(float* x, std::size_t len, float slope);
+
+  /// Max pooling of `channels` planes of h x w floats over non-overlapping
+  /// size x size windows into planes of max(1, h/size) x max(1, w/size); a
+  /// window clipped by the input edge pools its in-range elements only. Each
+  /// output is best = -inf, then best = (best < v) ? v : best over the
+  /// window in row-major order (std::max semantics: a NaN input is skipped,
+  /// the first of equal values wins, so +0.0 vs -0.0 ties are order-exact).
+  void (*max_pool_f32)(const float* in, int channels, int h, int w, int size,
+                       float* out);
 };
+
+/// K panel width of the vector tables' gemm_f32: a K-long dot product is
+/// accumulated one panel at a time so the panel of B rows a tile streams
+/// through stays cache-resident.
+inline constexpr int kGemmKc = 256;
 
 enum class KernelArch { kScalar, kSse2, kAvx2, kNeon };
 
@@ -135,20 +175,14 @@ std::size_t PackedGemmBSize(int k, int n_cols) noexcept;
 void PackGemmB(const std::int8_t* b, int k, int n_cols,
                std::int8_t* packed) noexcept;
 
-/// True if SIEVE_FORCE_SCALAR is set in the environment (and not "0").
-/// Legacy alias for SIEVE_KERNEL_ARCH=scalar.
-bool ScalarForcedByEnv() noexcept;
-
 /// Parses the SIEVE_KERNEL_ARCH environment override
 /// ("scalar"|"sse2"|"avx2"|"neon"). Returns true and writes `*out` when the
-/// variable is set to a recognized name; malformed values are ignored. When
-/// SIEVE_KERNEL_ARCH is unset, SIEVE_FORCE_SCALAR (set and not "0") reports
-/// kScalar, as before.
+/// variable is set to a recognized name; malformed values are ignored.
 bool KernelArchFromEnv(KernelArch* out) noexcept;
 
-/// The best supported architecture, honoring SIEVE_KERNEL_ARCH /
-/// SIEVE_FORCE_SCALAR. An env override naming an unsupported or uncompiled
-/// arch is ignored (the hardware-best table is used instead).
+/// The best supported architecture, honoring SIEVE_KERNEL_ARCH. An env
+/// override naming an unsupported or uncompiled arch is ignored (the
+/// hardware-best table is used instead).
 KernelArch BestArch() noexcept;
 
 /// The table the hot paths dispatch through. Resolved on first use from
@@ -156,7 +190,7 @@ KernelArch BestArch() noexcept;
 const KernelTable& ActiveKernels() noexcept;
 
 /// Override the active table (tests, tools, A/B benches). Takes precedence
-/// over the environment overrides; falls back to scalar if `arch` is not compiled
+/// over the environment override; falls back to scalar if `arch` is not compiled
 /// in. Not intended to be raced against in-flight encodes — switch between
 /// them.
 void SetActiveKernels(KernelArch arch) noexcept;

@@ -12,13 +12,19 @@
 //    compare as the SSE2 LroundPs, on 8 lanes.
 //  * The int8 GEMM widens u8/s8 operands to i16 and uses _mm256_madd_epi16
 //    (exact for these magnitudes) — never the saturating vpmaddubsw.
+//  * The fp32 GEMM keeps a 4x16 output tile in eight ymm accumulators and
+//    adds one _mm256_mul_ps product per k step to each, k ascending — the
+//    scalar reference's operation sequence per output, 8 outputs per lane
+//    group. The elementwise kernels are one mul/add/compare per lane.
 //
 // The TU is compiled with -mavx2 on x86 (see CMakeLists.txt); dispatch is
 // CPUID-verified so the kernels never execute on a core without AVX2.
 // Elsewhere the accessor returns nullptr and the dispatcher falls back.
 #include "common/simd/kernels_internal.h"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 
 #if defined(__AVX2__)
 #define SIEVE_HAVE_AVX2 1
@@ -472,10 +478,190 @@ void QuantizeActU8Avx2(const float* x, std::size_t len, float inv_scale,
   }
 }
 
+// ------------------------------------------------------------- fp32 GEMM --
+
+// MR rows x 8*NV columns of C over K panel [p0, p1): each ymm accumulator
+// holds 8 independent outputs; every k step adds one product per output.
+template <int MR, int NV>
+inline void GemmF32TileAvx2(const float* a, int lda, const float* b, int ldb,
+                            float* c, int ldc, int p0, int p1, bool first) {
+  __m256 acc[MR][NV];
+#pragma GCC unroll 4
+  for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) {
+      acc[r][v] = first ? _mm256_setzero_ps()
+                        : _mm256_loadu_ps(c + std::ptrdiff_t(r) * ldc + 8 * v);
+    }
+  }
+  for (int p = p0; p < p1; ++p) {
+    const float* brow = b + std::ptrdiff_t(p) * ldb;
+    __m256 bv[NV];
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) bv[v] = _mm256_loadu_ps(brow + 8 * v);
+#pragma GCC unroll 4
+    for (int r = 0; r < MR; ++r) {
+      const __m256 av = _mm256_broadcast_ss(a + std::ptrdiff_t(r) * lda + p);
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(av, bv[v]));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) {
+      _mm256_storeu_ps(c + std::ptrdiff_t(r) * ldc + 8 * v, acc[r][v]);
+    }
+  }
+}
+
+// All m rows of one 8*NV-wide column block: 4-row tiles, then the 1-3 row
+// remainder as a shorter tile.
+template <int NV>
+void GemmF32ColumnsAvx2(const float* a, int lda, const float* b, int ldb,
+                        float* c, int ldc, int m, int p0, int p1, bool first) {
+  int i = 0;
+  for (; i + 4 <= m; i += 4) {
+    GemmF32TileAvx2<4, NV>(a + std::ptrdiff_t(i) * lda, lda, b, ldb,
+                           c + std::ptrdiff_t(i) * ldc, ldc, p0, p1, first);
+  }
+  const float* ai = a + std::ptrdiff_t(i) * lda;
+  float* ci = c + std::ptrdiff_t(i) * ldc;
+  switch (m - i) {
+    case 3: GemmF32TileAvx2<3, NV>(ai, lda, b, ldb, ci, ldc, p0, p1, first); break;
+    case 2: GemmF32TileAvx2<2, NV>(ai, lda, b, ldb, ci, ldc, p0, p1, first); break;
+    case 1: GemmF32TileAvx2<1, NV>(ai, lda, b, ldb, ci, ldc, p0, p1, first); break;
+    default: break;
+  }
+}
+
+void GemmF32Avx2(const float* a, int lda, const float* b, int ldb, float* c,
+                 int ldc, int m, int n, int k) {
+  if (k <= 0) {
+    GemmF32EdgeScalar(a, lda, b, ldb, c, ldc, m, n, 0, 0, true);
+    return;
+  }
+  for (int p0 = 0; p0 < k; p0 += kGemmKc) {
+    const int p1 = k - p0 < kGemmKc ? k : p0 + kGemmKc;
+    const bool first = p0 == 0;
+    int j = 0;
+    for (; j + 16 <= n; j += 16) {
+      GemmF32ColumnsAvx2<2>(a, lda, b + j, ldb, c + j, ldc, m, p0, p1, first);
+    }
+    if (j + 8 <= n) {
+      GemmF32ColumnsAvx2<1>(a, lda, b + j, ldb, c + j, ldc, m, p0, p1, first);
+      j += 8;
+    }
+    if (j < n) {
+      GemmF32EdgeScalar(a, lda, b + j, ldb, c + j, ldc, m, n - j, p0, p1,
+                        first);
+    }
+  }
+}
+
+// ------------------------------------------------------ fp32 elementwise --
+
+void ScaleShiftRowsF32Avx2(float* x, int rows, std::size_t len,
+                           const float* scale, const float* shift) {
+  for (int r = 0; r < rows; ++r) {
+    float* row = x + std::size_t(r) * len;
+    const float t = shift[r];
+    const __m256 vt = _mm256_set1_ps(t);
+    std::size_t i = 0;
+    if (scale == nullptr) {
+      for (; i + 8 <= len; i += 8) {
+        _mm256_storeu_ps(row + i, _mm256_add_ps(_mm256_loadu_ps(row + i), vt));
+      }
+      for (; i < len; ++i) row[i] = row[i] + t;
+    } else {
+      const float s = scale[r];
+      const __m256 vs = _mm256_set1_ps(s);
+      for (; i + 8 <= len; i += 8) {
+        _mm256_storeu_ps(
+            row + i,
+            _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(row + i), vs), vt));
+      }
+      for (; i < len; ++i) row[i] = row[i] * s + t;
+    }
+  }
+}
+
+// Branch-free: the product is computed for every lane and selected only
+// where x < 0 (ordered compare — NaN and -0.0 keep their own bits).
+void LeakyReluF32Avx2(float* x, std::size_t len, float slope) {
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 vs = _mm256_set1_ps(slope);
+  std::size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    const __m256 v = _mm256_loadu_ps(x + i);
+    const __m256 neg = _mm256_cmp_ps(v, zero, _CMP_LT_OQ);
+    _mm256_storeu_ps(x + i, _mm256_blendv_ps(v, _mm256_mul_ps(v, vs), neg));
+  }
+  for (; i < len; ++i) {
+    if (x[i] < 0) x[i] *= slope;
+  }
+}
+
+// Even / odd elements of the 16 floats in (lo, hi), in order.
+inline __m256 EvensAvx2(__m256 lo, __m256 hi) {
+  const __m256 e = _mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(2, 0, 2, 0));
+  return _mm256_castpd_ps(
+      _mm256_permute4x64_pd(_mm256_castps_pd(e), _MM_SHUFFLE(3, 1, 2, 0)));
+}
+inline __m256 OddsAvx2(__m256 lo, __m256 hi) {
+  const __m256 o = _mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 1, 3, 1));
+  return _mm256_castpd_ps(
+      _mm256_permute4x64_pd(_mm256_castps_pd(o), _MM_SHUFFLE(3, 1, 2, 0)));
+}
+
+// 2x2 windows, 8 outputs per step. _mm256_max_ps(v, best) returns
+// v > best ? v : best — std::max(best, v) exactly, NaN and signed-zero ties
+// included — applied in the reference's window order.
+void MaxPoolF32Avx2(const float* in, int channels, int h, int w, int size,
+                    float* out) {
+  if (size != 2 || h < 2 || w < 2) {
+    MaxPoolF32Scalar(in, channels, h, w, size, out);
+    return;
+  }
+  const int oh = h / 2, ow = w / 2;
+  const __m256 ninf = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  for (int c = 0; c < channels; ++c) {
+    const float* plane = in + std::size_t(c) * std::size_t(h) * std::size_t(w);
+    for (int oy = 0; oy < oh; ++oy) {
+      const float* r0 = plane + std::size_t(2 * oy) * std::size_t(w);
+      const float* r1 = r0 + w;
+      int ox = 0;
+      for (; ox + 8 <= ow; ox += 8) {
+        const __m256 a0 = _mm256_loadu_ps(r0 + 2 * ox);
+        const __m256 a1 = _mm256_loadu_ps(r0 + 2 * ox + 8);
+        const __m256 b0 = _mm256_loadu_ps(r1 + 2 * ox);
+        const __m256 b1 = _mm256_loadu_ps(r1 + 2 * ox + 8);
+        __m256 best = _mm256_max_ps(EvensAvx2(a0, a1), ninf);
+        best = _mm256_max_ps(OddsAvx2(a0, a1), best);
+        best = _mm256_max_ps(EvensAvx2(b0, b1), best);
+        best = _mm256_max_ps(OddsAvx2(b0, b1), best);
+        _mm256_storeu_ps(out + ox, best);
+      }
+      for (; ox < ow; ++ox) {
+        float best = -std::numeric_limits<float>::infinity();
+        best = std::max(best, r0[2 * ox]);
+        best = std::max(best, r0[2 * ox + 1]);
+        best = std::max(best, r1[2 * ox]);
+        best = std::max(best, r1[2 * ox + 1]);
+        out[ox] = best;
+      }
+      out += ow;
+    }
+  }
+}
+
 const KernelTable kAvx2Table = {
     "avx2",        SadRowAvx2,      Sad16xHAvx2,      SadBoundedAvx2,
     Fdct8x8Avx2,   Idct8x8Avx2,     Quantize8x8Avx2,  Dequantize8x8Avx2,
     GemmU8S8Avx2,  QuantizeActU8Avx2,
+    GemmF32Avx2,   ScaleShiftRowsF32Avx2, LeakyReluF32Avx2, MaxPoolF32Avx2,
 };
 
 }  // namespace

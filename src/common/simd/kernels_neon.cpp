@@ -3,6 +3,8 @@
 // scalar order, and use only separate vmulq_f32/vaddq_f32 (never vmlaq/fmla,
 // which would fuse without the intermediate rounding the scalar path has).
 // Rounding replicates std::lround via truncate + exact-fraction compare.
+// The fp32 inference entries point at the shared scalar kernels
+// (kernels_internal.h): bit-exact by construction, vectorizing them is open.
 //
 // Compiled only under __ARM_NEON; elsewhere the accessor returns nullptr and
 // the dispatcher falls back to scalar.
@@ -342,6 +344,8 @@ const KernelTable kNeonTable = {
     "neon",        SadRowNeon,      Sad16xHNeon,      SadBoundedNeon,
     Fdct8x8Neon,   Idct8x8Neon,     Quantize8x8Neon,  Dequantize8x8Neon,
     GemmU8S8Neon,  QuantizeActU8Neon,
+    GemmF32Scalar, ScaleShiftRowsF32Scalar, LeakyReluF32Scalar,
+    MaxPoolF32Scalar,
 };
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "nn/classifier.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -13,18 +15,37 @@ FrameClassifier::FrameClassifier(ClassifierParams params)
                             params.seed)) {}
 
 Tensor FrameClassifier::InputTensor(const media::Frame& frame) const {
+  // float(v) / 255.0f - 0.5f for every byte value, computed once with the
+  // very same two IEEE operations, so looking it up is bit-identical to the
+  // per-pixel divide.
+  static const std::array<float, 256> kNormalized = [] {
+    std::array<float, 256> table{};
+    for (int v = 0; v < 256; ++v) table[std::size_t(v)] = float(v) / 255.0f - 0.5f;
+    return table;
+  }();
   const int n = params_.input_size;
-  const media::Frame resized =
-      (frame.width() == n && frame.height() == n) ? frame
-                                                  : media::ResizeFrame(frame, n, n);
+  media::Frame scaled;
+  const media::Frame& resized =
+      (frame.width() == n && frame.height() == n)
+          ? frame
+          : (scaled = media::ResizeFrame(frame, n, n));
   Tensor input(Shape{3, n, n});
+  const std::size_t plane = std::size_t(n) * std::size_t(n);
+  float* out_y = input.data();
+  float* out_u = out_y + plane;
+  float* out_v = out_u + plane;
+  // Chroma is sampled at (x/2, y/2), clamped to the plane like at_clamped.
+  const int cw = resized.u().width(), ch = resized.u().height();
   for (int y = 0; y < n; ++y) {
+    const std::uint8_t* row_y = resized.y().row(y);
+    const std::uint8_t* row_u = resized.u().row(std::min(y / 2, ch - 1));
+    const std::uint8_t* row_v = resized.v().row(std::min(y / 2, ch - 1));
+    const std::size_t base = std::size_t(y) * std::size_t(n);
     for (int x = 0; x < n; ++x) {
-      input.at(0, y, x) = float(resized.y().at(x, y)) / 255.0f - 0.5f;
-      input.at(1, y, x) =
-          float(resized.u().at_clamped(x / 2, y / 2)) / 255.0f - 0.5f;
-      input.at(2, y, x) =
-          float(resized.v().at_clamped(x / 2, y / 2)) / 255.0f - 0.5f;
+      const int cx = std::min(x / 2, cw - 1);
+      out_y[base + std::size_t(x)] = kNormalized[row_y[x]];
+      out_u[base + std::size_t(x)] = kNormalized[row_u[cx]];
+      out_v[base + std::size_t(x)] = kNormalized[row_v[cx]];
     }
   }
   return input;

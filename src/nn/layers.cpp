@@ -33,20 +33,6 @@ Conv2D::Conv2D(int in_channels, int out_channels, int kernel, int stride,
       bias_(std::size_t(out_channels), 0.0f) {
   HeInit(weights_, std::size_t(in_channels) * std::size_t(kernel) * std::size_t(kernel),
          rng);
-  RebuildTransposedWeights();
-}
-
-void Conv2D::RebuildTransposedWeights() const {
-  const std::size_t patch =
-      std::size_t(in_c_) * std::size_t(kernel_) * std::size_t(kernel_);
-  wt_.resize(patch * std::size_t(out_c_));
-  for (int o = 0; o < out_c_; ++o) {
-    for (std::size_t p = 0; p < patch; ++p) {
-      wt_[p * std::size_t(out_c_) + std::size_t(o)] =
-          weights_[std::size_t(o) * patch + p];
-    }
-  }
-  wt_dirty_.store(false, std::memory_order_release);
 }
 
 void Conv2D::RebuildQuantizedWeights() const {
@@ -73,130 +59,64 @@ void Conv2D::Im2Col(const Tensor& input, const Shape& out_shape,
                     float* cols) const {
   const int oh = out_shape.h, ow = out_shape.w;
   const int ih = input.shape().h, iw = input.shape().w;
-  const int k = kernel_;
-  const std::size_t patch = std::size_t(in_c_) * std::size_t(k) * std::size_t(k);
-  for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = 0; ox < ow; ++ox) {
-      float* row =
-          cols + (std::size_t(oy) * std::size_t(ow) + std::size_t(ox)) * patch;
-      std::size_t idx = 0;
-      const int ix0 = ox * stride_ - pad_;
-      for (int c = 0; c < in_c_; ++c) {
-        const float* chan = input.data() + std::size_t(c) * std::size_t(ih) *
-                                               std::size_t(iw);
-        for (int ky = 0; ky < k; ++ky) {
-          const int iy = oy * stride_ + ky - pad_;
+  const int s = stride_;
+  const std::size_t hw = std::size_t(oh) * std::size_t(ow);
+  // ceil(num / s) for either sign of num.
+  const auto ceil_div = [s](int num) {
+    return num <= 0 ? -(-num / s) : (num + s - 1) / s;
+  };
+  float* row = cols;
+  for (int c = 0; c < in_c_; ++c) {
+    const float* chan =
+        input.data() + std::size_t(c) * std::size_t(ih) * std::size_t(iw);
+    for (int ky = 0; ky < kernel_; ++ky) {
+      for (int kx = 0; kx < kernel_; ++kx, row += hw) {
+        // Output columns [ox_lo, ox_hi) read input column ox*s + kx - pad
+        // inside [0, iw); the rest are zero padding.
+        const int ox_lo = std::clamp(ceil_div(pad_ - kx), 0, ow);
+        const int ox_hi = std::clamp(ceil_div(iw + pad_ - kx), ox_lo, ow);
+        for (int oy = 0; oy < oh; ++oy) {
+          float* dst = row + std::size_t(oy) * std::size_t(ow);
+          const int iy = oy * s + ky - pad_;
           if (iy < 0 || iy >= ih) {
-            for (int kx = 0; kx < k; ++kx) row[idx++] = 0.0f;
+            std::fill(dst, dst + ow, 0.0f);
             continue;
           }
           const float* src = chan + std::size_t(iy) * std::size_t(iw);
-          if (ix0 >= 0 && ix0 + k <= iw) {
-            for (int kx = 0; kx < k; ++kx) row[idx++] = src[ix0 + kx];
-          } else {
-            for (int kx = 0; kx < k; ++kx) {
-              const int ix = ix0 + kx;
-              row[idx++] = (ix >= 0 && ix < iw) ? src[ix] : 0.0f;
-            }
-          }
+          int ox = 0;
+          for (; ox < ox_lo; ++ox) dst[ox] = 0.0f;
+          for (; ox < ox_hi; ++ox) dst[ox] = src[ox * s + kx - pad_];
+          for (; ox < ow; ++ox) dst[ox] = 0.0f;
         }
       }
     }
   }
 }
 
-void Conv2D::ScatterOutput(const float* gemm_rows, Tensor& out) const {
-  float* dst = out.data();
-  const std::size_t hw = std::size_t(out.shape().h) * std::size_t(out.shape().w);
-  for (std::size_t px = 0; px < hw; ++px) {
-    const float* row = gemm_rows + px * std::size_t(out_c_);
-    for (int o = 0; o < out_c_; ++o) {
-      dst[std::size_t(o) * hw + px] = row[o] + bias_[std::size_t(o)];
-    }
-  }
-}
-
 Tensor Conv2D::Forward(const Tensor& input) const {
   const Shape out_shape = OutputShape(input.shape());
-  const int oh = out_shape.h, ow = out_shape.w;
-  const std::size_t patch =
-      std::size_t(in_c_) * std::size_t(kernel_) * std::size_t(kernel_);
+  const int hw = out_shape.h * out_shape.w;
+  const int patch = in_c_ * kernel_ * kernel_;
 
-  if (wt_dirty_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(wt_mutex_);
-    if (wt_dirty_.load(std::memory_order_relaxed)) RebuildTransposedWeights();
-  }
-
-  // im2col: rows = output pixels, cols = receptive-field patch. The scratch
-  // is thread-local — it persists across calls (steady-state inference never
-  // allocates) yet keeps concurrent Forward calls on one shared instance
-  // race-free, which is what lets every runtime session share a classifier.
+  // The im2col scratch is thread-local — it persists across calls
+  // (steady-state inference never allocates) yet keeps concurrent Forward
+  // calls on one shared instance race-free, which is what lets every
+  // runtime session share a classifier.
   static thread_local std::vector<float> cols;
-  static thread_local std::vector<float> gemm_out;
-  cols.resize(std::size_t(oh) * std::size_t(ow) * patch);
+  cols.resize(std::size_t(patch) * std::size_t(hw));
   Im2Col(input, out_shape, cols.data());
 
-  // GEMM: [oh*ow x patch] * [patch x out_c] against the cached transposed
-  // weights.
-  gemm_out.resize(std::size_t(oh) * std::size_t(ow) * std::size_t(out_c_));
-  Gemm(cols.data(), wt_.data(), gemm_out.data(), oh * ow, int(patch), out_c_);
-
+  // Channel-major GEMM: weights [out_c x patch] * cols [patch x hw] is the
+  // CHW output itself. Each element is the same k-ascending dot product a
+  // pixel-major GEMM computes (a*b == b*a exactly), so the layout is
+  // invisible in the bits.
   Tensor out(out_shape);
-  ScatterOutput(gemm_out.data(), out);
+  const simd::KernelTable& kernels = simd::ActiveKernels();
+  kernels.gemm_f32(weights_.data(), patch, cols.data(), hw, out.data(), hw,
+                   out_c_, hw, patch);
+  kernels.scale_shift_rows_f32(out.data(), out_c_, std::size_t(hw), nullptr,
+                               bias_.data());
   return out;
-}
-
-void Conv2D::ForwardBatch(std::vector<Tensor>& batch) const {
-  if (batch.empty()) return;
-  if (batch.size() == 1) {
-    ForwardInPlace(batch.front());
-    return;
-  }
-  const Shape in_shape = batch.front().shape();
-  for (const Tensor& t : batch) assert(t.shape() == in_shape);
-  const Shape out_shape = OutputShape(in_shape);
-  const std::size_t hw = std::size_t(out_shape.h) * std::size_t(out_shape.w);
-  const std::size_t patch =
-      std::size_t(in_c_) * std::size_t(kernel_) * std::size_t(kernel_);
-  const std::size_t b = batch.size();
-
-  if (wt_dirty_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(wt_mutex_);
-    if (wt_dirty_.load(std::memory_order_relaxed)) RebuildTransposedWeights();
-  }
-
-  // Stack samples' im2col rows into one [chunk*oh*ow x patch] matrix per
-  // cache-sized chunk and GEMM each chunk: within a chunk the
-  // transposed-weight panel streams through cache once instead of once per
-  // frame, while the chunk bound keeps the stacked cols matrix from blowing
-  // the last-level cache (stacking a 32-sample batch wholesale is *slower*
-  // than per-frame — the giant cols buffer turns the GEMM memory-bound).
-  // Bit-exactness holds at any chunking because each output element is an
-  // independent k-ascending dot product whose accumulation order does not
-  // depend on M (see Gemm in nn/tensor.h), and Im2Col/ScatterOutput are the
-  // very same code the per-frame path runs.
-  constexpr std::size_t kColsBudgetBytes = 256 * 1024;
-  const std::size_t sample_cols_bytes = hw * patch * sizeof(float);
-  const std::size_t chunk_samples = std::min(
-      b, std::max<std::size_t>(1, kColsBudgetBytes / std::max<std::size_t>(
-                                      1, sample_cols_bytes)));
-  static thread_local std::vector<float> cols;
-  static thread_local std::vector<float> gemm_out;
-  cols.resize(chunk_samples * hw * patch);
-  gemm_out.resize(chunk_samples * hw * std::size_t(out_c_));
-  for (std::size_t base = 0; base < b; base += chunk_samples) {
-    const std::size_t n = std::min(chunk_samples, b - base);
-    for (std::size_t i = 0; i < n; ++i) {
-      Im2Col(batch[base + i], out_shape, cols.data() + i * hw * patch);
-    }
-    Gemm(cols.data(), wt_.data(), gemm_out.data(), int(n * hw), int(patch),
-         out_c_);
-    for (std::size_t i = 0; i < n; ++i) {
-      Tensor out(out_shape);
-      ScatterOutput(gemm_out.data() + i * hw * std::size_t(out_c_), out);
-      batch[base + i] = std::move(out);
-    }
-  }
 }
 
 void Conv2D::Im2ColU8(const std::uint8_t* qinput, const Shape& in_shape,
@@ -270,7 +190,7 @@ Tensor Conv2D::ForwardInt8(const Tensor& input) const {
       std::size_t(in_c_) * std::size_t(kernel_) * std::size_t(kernel_);
 
   if (qw_dirty_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(wt_mutex_);
+    std::lock_guard<std::mutex> lock(qw_mutex_);
     if (qw_dirty_.load(std::memory_order_relaxed)) RebuildQuantizedWeights();
   }
 
@@ -351,14 +271,9 @@ Tensor BatchNorm::Forward(const Tensor& input) const {
 
 void BatchNorm::ForwardInPlace(Tensor& t) const {
   const Shape& s = t.shape();
-  const std::size_t hw = std::size_t(s.h) * std::size_t(s.w);
-  float* p = t.data();
-  for (int c = 0; c < s.c; ++c) {
-    const float scale = scale_[std::size_t(c)];
-    const float shift = shift_[std::size_t(c)];
-    float* chan = p + std::size_t(c) * hw;
-    for (std::size_t i = 0; i < hw; ++i) chan[i] = chan[i] * scale + shift;
-  }
+  simd::ActiveKernels().scale_shift_rows_f32(
+      t.data(), s.c, std::size_t(s.h) * std::size_t(s.w), scale_.data(),
+      shift_.data());
 }
 
 Tensor LeakyRelu::Forward(const Tensor& input) const {
@@ -368,9 +283,7 @@ Tensor LeakyRelu::Forward(const Tensor& input) const {
 }
 
 void LeakyRelu::ForwardInPlace(Tensor& t) const {
-  for (auto& v : t.values()) {
-    if (v < 0) v *= slope_;
-  }
+  simd::ActiveKernels().leaky_relu_f32(t.data(), t.size(), slope_);
 }
 
 Shape MaxPool::OutputShape(const Shape& input) const {
@@ -378,24 +291,10 @@ Shape MaxPool::OutputShape(const Shape& input) const {
 }
 
 Tensor MaxPool::Forward(const Tensor& input) const {
-  const Shape out_shape = OutputShape(input.shape());
-  Tensor out(out_shape);
-  for (int c = 0; c < out_shape.c; ++c) {
-    for (int oy = 0; oy < out_shape.h; ++oy) {
-      for (int ox = 0; ox < out_shape.w; ++ox) {
-        float best = -std::numeric_limits<float>::infinity();
-        for (int ky = 0; ky < size_; ++ky) {
-          for (int kx = 0; kx < size_; ++kx) {
-            const int iy = oy * size_ + ky, ix = ox * size_ + kx;
-            if (iy < input.shape().h && ix < input.shape().w) {
-              best = std::max(best, input.at(c, iy, ix));
-            }
-          }
-        }
-        out.at(c, oy, ox) = best;
-      }
-    }
-  }
+  const Shape& in = input.shape();
+  Tensor out(OutputShape(in));
+  simd::ActiveKernels().max_pool_f32(input.data(), in.c, in.h, in.w, size_,
+                                     out.data());
   return out;
 }
 

@@ -34,9 +34,8 @@ class Layer {
   /// ForwardInPlace(xi) to the last float bit, for every batch size — the
   /// fleet tier's batched cloud inference relies on it to produce the same
   /// databases as the per-frame path. The default runs samples one by one
-  /// (trivially exact); layers with a real batched fast path (Conv2D's
-  /// stacked-im2col single GEMM) override it with an implementation whose
-  /// per-element accumulation order is batch-size-invariant.
+  /// (trivially exact); an override must keep every element's accumulation
+  /// order batch-size-invariant.
   virtual void ForwardBatch(std::vector<Tensor>& batch) const {
     for (Tensor& t : batch) ForwardInPlace(t);
   }
@@ -67,12 +66,16 @@ class Layer {
 
 /// 2D convolution, square kernel, same dilation 1, zero padding `pad`.
 ///
-/// Forward is const-thread-safe: the im2col / GEMM scratch lives in
-/// thread-local buffers (steady-state inference never allocates, and any
-/// number of threads may share one instance), and the lazily rebuilt
-/// transposed-weight cache is guarded by an internal mutex. Weight
-/// *mutation* (weights()/bias()) is not synchronized — do not mutate
-/// concurrently with Forward.
+/// The fp32 forward is one channel-major GEMM through the active kernel
+/// table: weights [out_c x patch] times the im2col matrix [patch x oh*ow]
+/// lands directly in CHW order, then the bias is added per channel row.
+///
+/// Forward is const-thread-safe: the im2col scratch lives in a thread-local
+/// buffer (steady-state inference never allocates, and any number of
+/// threads may share one instance), and the lazily rebuilt int8 weight
+/// panel is guarded by an internal mutex. Weight *mutation*
+/// (weights()/bias()) is not synchronized — do not mutate concurrently with
+/// Forward.
 class Conv2D : public Layer {
  public:
   Conv2D(int in_channels, int out_channels, int kernel, int stride, int pad,
@@ -81,14 +84,6 @@ class Conv2D : public Layer {
   std::string name() const override;
   Shape OutputShape(const Shape& input) const override;
   Tensor Forward(const Tensor& input) const override;
-  /// True batched convolution: the batch's im2col rows are stacked into one
-  /// [B*oh*ow x patch] matrix and multiplied by the transposed weights in a
-  /// single blocked GEMM call (the microkernel takes arbitrary M), so the
-  /// weight panel streams through cache once per batch instead of once per
-  /// frame. Bit-exact vs the per-sample path: each output element is an
-  /// independent k-ascending dot product whose accumulation order does not
-  /// depend on M (see Gemm in nn/tensor.h).
-  void ForwardBatch(std::vector<Tensor>& batch) const override;
   using Layer::ForwardInPlace;  // keep the 1-arg fp32 overload visible
   /// Int8 path: the input is quantized once (dynamic per-tensor scale), the
   /// im2col gather runs on uint8 codes (padding = zero_point), and each
@@ -100,20 +95,18 @@ class Conv2D : public Layer {
 
   int in_channels() const noexcept { return in_c_; }
   int out_channels() const noexcept { return out_c_; }
-  /// Mutable weight access invalidates the cached transposed copy AND the
-  /// cached int8 weight panel; the next Forward at each precision re-derives
-  /// its cache once. The invalidation happens at this call, so do not retain
-  /// the reference across a Forward and mutate it afterwards — re-call
-  /// weights() for every round of mutation.
+  /// Mutable weight access invalidates the cached int8 weight panel; the
+  /// next int8 Forward re-derives it once (fp32 reads weights_ directly).
+  /// The invalidation happens at this call, so do not retain the reference
+  /// across an int8 Forward and mutate it afterwards — re-call weights() for
+  /// every round of mutation.
   std::vector<float>& weights() noexcept {
-    wt_dirty_.store(true, std::memory_order_release);
     qw_dirty_.store(true, std::memory_order_release);
     return weights_;
   }
   std::vector<float>& bias() noexcept { return bias_; }
 
  private:
-  void RebuildTransposedWeights() const;
   void RebuildQuantizedWeights() const;
   Tensor ForwardInt8(const Tensor& input) const;
   /// Quantized im2col twin: gathers uint8 codes from the pre-quantized
@@ -123,26 +116,18 @@ class Conv2D : public Layer {
   void Im2ColU8(const std::uint8_t* qinput, const Shape& in_shape,
                 const Shape& out_shape, std::uint8_t pad_code,
                 std::uint8_t* cols) const;
-  /// Fill `cols` ([oh*ow x patch], row-major) with the im2col expansion of
-  /// one input. Shared by Forward and ForwardBatch so both paths lay out
-  /// bit-identical GEMM operands.
+  /// Fill `cols` ([patch x oh*ow], row-major: one row per (channel, ky, kx)
+  /// tap, one column per output pixel) with the im2col expansion of one
+  /// input — the B operand of the channel-major GEMM.
   void Im2Col(const Tensor& input, const Shape& out_shape, float* cols) const;
-  /// The shared epilogue: transpose one sample's [oh*ow x out_c] GEMM rows
-  /// into CHW order and add the bias.
-  void ScatterOutput(const float* gemm_rows, Tensor& out) const;
 
   int in_c_, out_c_, kernel_, stride_, pad_;
   std::vector<float> weights_;  ///< [out_c][in_c * k * k] row-major
   std::vector<float> bias_;     ///< [out_c]
-  // GEMM-ready transposed weights [in_c * k * k][out_c], cached at
-  // construction instead of being rebuilt every Forward. After a weights()
-  // mutation the cache is rebuilt lazily, exactly once, under wt_mutex_, so
-  // concurrent const Forward calls stay safe.
-  mutable std::vector<float> wt_;
-  mutable std::atomic<bool> wt_dirty_{false};
-  mutable std::mutex wt_mutex_;
   // Int8 weight panel (packed for gemm_u8s8), built lazily on the first
-  // int8 forward and after weight mutation, under the same mutex.
+  // int8 forward and after weight mutation, exactly once under qw_mutex_ so
+  // concurrent const Forward calls stay safe.
+  mutable std::mutex qw_mutex_;
   mutable QuantizedWeights qw_;
   mutable std::atomic<bool> qw_dirty_{true};
 };

@@ -67,9 +67,10 @@ std::vector<std::uint8_t> SerializeTensor(const Tensor& tensor);
 /// shape/payload size mismatches with kCorruptData.
 Expected<Tensor> DeserializeTensor(std::span<const std::uint8_t> bytes);
 
-/// C = A(MxK) * B(KxN) written into a caller-provided row-major buffer.
-/// Cache-blocked with a register-tiled microkernel; matches GemmNaive to
-/// float rounding (identical k-ascending accumulation order per element).
+/// C = A(MxK) * B(KxN) written into a caller-provided row-major buffer,
+/// through the active kernel table's gemm_f32: cache-blocked and
+/// register-tiled, bit-identical across tables (each element accumulates
+/// from +0.0f in ascending k with a separate multiply and add).
 void Gemm(const float* a, const float* b, float* c, int m, int k, int n);
 
 /// The straightforward ikj-order GEMM kept as the correctness reference for

@@ -2,15 +2,19 @@
 // binary must be BIT-exact with the scalar reference table — float DCT/IDCT
 // outputs, lround rounding (half away from zero, including exact .5
 // quotients), SAD over unaligned widths and strides, and the row-granular
-// early-termination values of the bounded SAD. Plus the dispatch machinery
-// itself and the clamped out-of-bounds compensation path the region helpers
-// guard.
+// early-termination values of the bounded SAD; and the fp32 inference
+// kernels (GEMM over ragged shapes and K panels, the conv epilogue, max
+// pooling) on signed zeros, denormals, NaN and large values. Plus the
+// dispatch machinery itself and the clamped out-of-bounds compensation path
+// the region helpers guard.
 #include "common/simd/kernels.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "codec/transform.h"
@@ -290,6 +294,161 @@ TEST(KernelEquivalence, RegionSadClampedOutOfBoundsPathDispatchIndependent) {
           << KernelArchName(arch);
     }
   }
+}
+
+// ------------------------------------------------------- fp32 inference --
+
+/// A float drawn from the classes the fp32 contract must survive: ordinary
+/// values of both signs, exact +-0.0, denormals and large magnitudes (kept
+/// below the range where a k-long sum of products could overflow).
+float SpecialFloat(Rng& rng) {
+  switch (rng.UniformInt(0, 9)) {
+    case 0: return 0.0f;
+    case 1: return -0.0f;
+    case 2: return float(rng.Uniform(-1.0, 1.0)) * 1e-39f;  // denormal
+    case 3: return float(rng.Uniform(-1e12, 1e12));
+    default: return float(rng.Uniform(-2.0, 2.0));
+  }
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+TEST(KernelEquivalence, GemmF32BitExactOnRaggedShapes) {
+  // m and n straddle every table's register tile (4x8 SSE2, 4x16 AVX2 and
+  // scalar), k crosses the kGemmKc panel (conv4 of the backbone has
+  // k = 576), and lda/ldb/ldc are wider than the matrices so padding that a
+  // table must neither read into the sum nor write is in play.
+  Rng rng(108);
+  const int ms[] = {1, 2, 3, 4, 5, 7, 16, 17};
+  const int ns[] = {1, 3, 4, 7, 8, 9, 15, 16, 17, 24, 33};
+  const int ks[] = {0, 1, 27, kGemmKc - 1, kGemmKc, kGemmKc + 1, 576};
+  constexpr float kSentinel = 12345.0f;
+  for (int m : ms) {
+    for (int n : ns) {
+      for (int k : ks) {
+        const int lda = k + 3, ldb = n + 5, ldc = n + 2;
+        std::vector<float> a(std::size_t(m) * std::size_t(lda));
+        std::vector<float> b(std::size_t(std::max(k, 1)) * std::size_t(ldb));
+        for (float& v : a) v = SpecialFloat(rng);
+        for (float& v : b) v = SpecialFloat(rng);
+        // Row 0 of A all -0.0 against B >= 0: every product is -0.0, and
+        // only an accumulator that starts from +0.0f returns +0.0.
+        if (k > 0) {
+          std::fill(a.begin(), a.begin() + lda, -0.0f);
+          for (int p = 0; p < k; ++p) b[std::size_t(p) * ldb] = 1.0f;
+        }
+        // The definition: +0.0f, then one multiply and one add per term in
+        // ascending p (this file is compiled with -ffp-contract=off).
+        std::vector<float> expect(std::size_t(m) * std::size_t(ldc), kSentinel);
+        for (int i = 0; i < m; ++i) {
+          for (int j = 0; j < n; ++j) {
+            float acc = 0.0f;
+            for (int p = 0; p < k; ++p) {
+              acc += a[std::size_t(i) * lda + p] * b[std::size_t(p) * ldb + j];
+            }
+            expect[std::size_t(i) * ldc + j] = acc;
+          }
+        }
+        for (KernelArch arch : CompiledArches()) {
+          if (!ArchSupported(arch)) continue;
+          std::vector<float> c(expect.size(), kSentinel);
+          KernelsFor(arch).gemm_f32(a.data(), lda, b.data(), ldb, c.data(),
+                                    ldc, m, n, k);
+          ASSERT_TRUE(SameBits(c, expect))
+              << KernelArchName(arch) << " m=" << m << " n=" << n
+              << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, ScaleShiftRowsAndLeakyReluBitExact) {
+  const KernelTable& scalar = KernelsFor(KernelArch::kScalar);
+  Rng rng(109);
+  for (KernelArch arch : SimdArches()) {
+    const KernelTable& simd = KernelsFor(arch);
+    for (int rows = 1; rows <= 3; ++rows) {
+      for (std::size_t len = 0; len <= 37; ++len) {
+        std::vector<float> x(std::size_t(rows) * len);
+        for (float& v : x) v = SpecialFloat(rng);
+        std::vector<float> scale(static_cast<std::size_t>(rows));
+        std::vector<float> shift(scale.size());
+        for (float& v : scale) v = SpecialFloat(rng);
+        for (float& v : shift) v = SpecialFloat(rng);
+        for (const float* sc :
+             {static_cast<const float*>(scale.data()),
+              static_cast<const float*>(nullptr)}) {
+          std::vector<float> ya = x, yb = x;
+          scalar.scale_shift_rows_f32(ya.data(), rows, len, sc, shift.data());
+          simd.scale_shift_rows_f32(yb.data(), rows, len, sc, shift.data());
+          ASSERT_TRUE(SameBits(ya, yb))
+              << KernelArchName(arch) << " scale_shift rows=" << rows
+              << " len=" << len << (sc ? "" : " (bias only)");
+        }
+        // NaN must pass through LeakyRelu untouched too.
+        if (!x.empty()) x[len / 2] = std::numeric_limits<float>::quiet_NaN();
+        std::vector<float> ya = x, yb = x;
+        scalar.leaky_relu_f32(ya.data(), ya.size(), 0.1f);
+        simd.leaky_relu_f32(yb.data(), yb.size(), 0.1f);
+        ASSERT_TRUE(SameBits(ya, yb))
+            << KernelArchName(arch) << " leaky_relu len=" << x.size();
+      }
+    }
+  }
+  // The scalar reference against its definition, on the signed zeros.
+  std::vector<float> z = {-0.0f, 0.0f, -2.0f, 3.0f};
+  scalar.leaky_relu_f32(z.data(), z.size(), 0.1f);
+  EXPECT_TRUE(std::signbit(z[0]));
+  EXPECT_FALSE(std::signbit(z[1]));
+  EXPECT_EQ(z[2], -2.0f * 0.1f);
+  EXPECT_EQ(z[3], 3.0f);
+}
+
+TEST(KernelEquivalence, MaxPoolBitExactIncludingTiesAndNaN) {
+  const KernelTable& scalar = KernelsFor(KernelArch::kScalar);
+  Rng rng(110);
+  for (KernelArch arch : SimdArches()) {
+    const KernelTable& simd = KernelsFor(arch);
+    for (int size : {1, 2, 3}) {
+      for (int h = 1; h <= 9; ++h) {
+        for (int w = 1; w <= 37; w += (w < 20 ? 1 : 8)) {
+          const int channels = 1 + (h + w) % 3;
+          std::vector<float> in(std::size_t(channels) * h * w);
+          for (float& v : in) {
+            // Signed-zero ties and NaNs exercise the operand order of max.
+            switch (rng.UniformInt(0, 5)) {
+              case 0: v = 0.0f; break;
+              case 1: v = -0.0f; break;
+              case 2: v = std::numeric_limits<float>::quiet_NaN(); break;
+              default: v = SpecialFloat(rng); break;
+            }
+          }
+          const std::size_t out_len = std::size_t(channels) *
+                                      std::size_t(std::max(1, h / size)) *
+                                      std::size_t(std::max(1, w / size));
+          std::vector<float> oa(out_len, 7.0f), ob(out_len, 7.0f);
+          scalar.max_pool_f32(in.data(), channels, h, w, size, oa.data());
+          simd.max_pool_f32(in.data(), channels, h, w, size, ob.data());
+          ASSERT_TRUE(SameBits(oa, ob))
+              << KernelArchName(arch) << " size=" << size << " h=" << h
+              << " w=" << w;
+        }
+      }
+    }
+  }
+  // Reference semantics: std::max order — the first of a +0/-0 tie wins, a
+  // NaN is skipped.
+  const float in[4] = {-0.0f, 0.0f, std::numeric_limits<float>::quiet_NaN(),
+                       -1.0f};
+  float out = 0.0f;
+  scalar.max_pool_f32(in, 1, 2, 2, 2, &out);
+  EXPECT_TRUE(std::signbit(out));
+  EXPECT_EQ(out, 0.0f);
 }
 
 }  // namespace

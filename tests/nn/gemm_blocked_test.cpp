@@ -1,6 +1,6 @@
 // Optimization-equivalence tests for the NN hot path: blocked GEMM vs the
-// naive reference on randomized shapes, the Conv2D transposed-weight cache
-// (including invalidation on mutation), and in-place element-wise layers.
+// naive reference on randomized shapes, Conv2D scratch reuse and weight
+// mutation, and in-place element-wise layers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -64,7 +64,7 @@ TEST(Conv2DCache, RepeatedForwardIsStable) {
     input.values()[i] = float(std::sin(double(i) * 0.37));
   }
   const Tensor first = conv.Forward(input);
-  const Tensor second = conv.Forward(input);  // reuses cached wt_ + scratch
+  const Tensor second = conv.Forward(input);  // reuses the im2col scratch
   ASSERT_EQ(first.values().size(), second.values().size());
   for (std::size_t i = 0; i < first.values().size(); ++i) {
     EXPECT_EQ(first.values()[i], second.values()[i]);
@@ -78,10 +78,10 @@ TEST(Conv2DCache, WeightMutationInvalidatesCache) {
   for (std::size_t i = 0; i < input.size(); ++i) {
     input.values()[i] = float(i + 1);
   }
-  (void)conv.Forward(input);  // populate cache with the random init
+  (void)conv.Forward(input);  // a forward with the random init first
 
   // Mutate to a pure center-tap kernel through the public accessor; the
-  // cached transpose must be rebuilt, making the conv an identity.
+  // next forward must see it, making the conv an identity.
   std::fill(conv.weights().begin(), conv.weights().end(), 0.0f);
   conv.weights()[4] = 1.0f;
   std::fill(conv.bias().begin(), conv.bias().end(), 0.0f);

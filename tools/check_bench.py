@@ -6,7 +6,11 @@ Usage: tools/check_bench.py BASELINE FRESH [--threshold 0.15]
 Fails (exit 1) on a >threshold regression in the tracked scenarios:
 
   * full_search   — candidate-throughput speedup of the pruned search
-  * gemm          — blocked-vs-naive GFLOP/s speedup
+  * gemm          — blocked-vs-naive GFLOP/s speedup, plus a hard-fail
+                    bit_identical boolean (every kernel table's gemm_f32
+                    equals the scalar table's bits)
+  * conv          — hard-fail bit_identical boolean: the backbone
+                    embedding is the same on every kernel table
   * encode        — serial and parallel fps speedups over the reference coder
   * live_query    — p99 FindObject latency under ingest (lower better;
                     p99-by-rank is the honest, stable number — avg is
@@ -70,6 +74,7 @@ def get(d, path):
 SCENARIO_OF = {
     "full_search": "motion",
     "gemm_1024x288x64": "gemm",
+    "backbone_forward_3x96x96": "conv",
     "encode": "encode",
     "live_query": "live_query",
     "dct_sad_kernels": "dct_sad_kernels",
@@ -164,6 +169,12 @@ BOOLEANS = [
     "encode.bit_identical",
     "full_search.identical",
     "dct_sad_kernels.identical",
+    # Hard gates: the fp32 inference kernels — gemm_f32 alone and the whole
+    # backbone forward — must return the scalar table's bits on every
+    # supported table. A false would change embeddings with the dispatch
+    # choice, not noise.
+    "gemm_1024x288x64.bit_identical",
+    "backbone_forward_3x96x96.bit_identical",
     # Every chaos leg's delivered-or-dropped ledger must balance — a false
     # here means the transport silently lost a frame under load.
     "wan_chaos.reconciled",
