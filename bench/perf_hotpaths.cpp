@@ -10,7 +10,7 @@
 //   scenarios: comma-separated subset of
 //     encode,motion,gemm,conv,multi_session,nn_placement,live_query,
 //     dct_sad_kernels,wan_chaos,fleet_scale,int8_inference,pipelined_encode,
-//     trace_overhead,durability
+//     trace_overhead,durability,still_transcode
 //   (default: all). Skipped scenarios report zeros in the JSON.
 //   trace.json: when given, the trace_overhead scenario writes its traced
 //   leg's Chrome trace there (load in chrome://tracing).
@@ -34,12 +34,15 @@
 #include <filesystem>
 
 #include "codec/container.h"
+#include "codec/decoder.h"
 #include "codec/encoder.h"
 #include "codec/motion.h"
+#include "codec/still.h"
 #include "codec/transform.h"
 #include "common/rng.h"
 #include "common/simd/kernels.h"
 #include "common/stopwatch.h"
+#include "media/image_ops.h"
 #include "media/metrics.h"
 #include "nn/classifier.h"
 #include "nn/network.h"
@@ -64,7 +67,7 @@ constexpr const char* kKnownScenarios[] = {
     "encode", "motion", "gemm",         "conv",      "multi_session",
     "nn_placement", "live_query", "dct_sad_kernels", "wan_chaos",
     "fleet_scale", "int8_inference", "pipelined_encode", "trace_overhead",
-    "durability"};
+    "durability", "still_transcode"};
 
 /// Set when a scenario could not run (encode failure, session failure...);
 /// main exits nonzero so tools/run_bench.sh never commits a partial report.
@@ -376,6 +379,122 @@ void WriteFp32Columns(std::FILE* f, const std::vector<Fp32ArchColumn>& cols,
                  cols[i].identical ? "true" : "false");
   }
   std::fprintf(f, "%s    ]\n", cols.empty() ? "" : "\n");
+}
+
+// -------------------------------------------------------- still transcode --
+
+bool SameFrame(const media::Frame& a, const media::Frame& b) {
+  const auto same = [](const media::Plane& x, const media::Plane& y) {
+    return x.SameSize(y) && std::memcmp(x.data(), y.data(), x.size()) == 0;
+  };
+  return same(a.y(), b.y()) && same(a.u(), b.u()) && same(a.v(), b.v());
+}
+
+/// One kernel table's column of the still_transcode scenario: per-I-frame
+/// microseconds of every step the edge's still path can take.
+struct StillArchColumn {
+  const char* arch = "";
+  double decode_us = 0;       ///< DecodeIntraFrameAt, 160x120
+  double resize_us = 0;       ///< ResizeFrame to the NN input
+  double encode_still_us = 0; ///< EncodeStill (split 0 only)
+  double decode_still_us = 0; ///< DecodeStill (what split > 0 no longer runs)
+  double reconstruct_us = 0;  ///< ReconstructStill (split > 0)
+  bool identical = false;     ///< reconstructions == decoded stills
+};
+
+struct StillTranscodeRow {
+  std::size_t frames = 0;
+  bool bit_identical = true;  ///< every column identical, same still bytes
+  std::vector<StillArchColumn> arches;
+};
+
+/// The edge's per-I-frame codec work, step by step, on every supported
+/// kernel table: decode a 160x120 I-frame, resize it to 96x96, then encode
+/// the still (split 0) or reconstruct it (split > 0). Also times the
+/// DecodeStill a reconstruction replaces, and hard-checks that the two agree
+/// pixel for pixel on every frame.
+StillTranscodeRow BenchStillTranscode() {
+  constexpr int kW = 160, kH = 120, kStill = 96, kQp = 26;
+  constexpr std::size_t kFrames = 30;
+  constexpr int kLaps = 5;
+  synth::SceneConfig sc;
+  sc.width = kW;
+  sc.height = kH;
+  sc.num_frames = kFrames;
+  sc.seed = kSeed;
+  sc.mean_gap_seconds = 0.3;
+  sc.min_gap_seconds = 0.1;
+  const media::RawVideo video = synth::GenerateScene(sc).video;
+  codec::EncoderParams params;
+  params.keyframe.gop_size = 1;  // every frame an I-frame
+  params.qp = kQp;
+  params.threads = 1;
+  auto encoded = codec::VideoEncoder(params).Encode(video);
+  StillTranscodeRow row;
+  if (!encoded.ok() || encoded->IntraFrameCount() != kFrames) {
+    ReportScenarioFailure("still_transcode", "I-frame encode failed");
+    row.bit_identical = false;
+    return row;
+  }
+  row.frames = kFrames;
+
+  std::vector<std::vector<std::uint8_t>> reference_stills;
+  for (simd::KernelArch arch : RunnableArches()) {
+    const simd::ScopedKernelArch pin(arch);
+    StillArchColumn col;
+    col.arch = simd::KernelArchName(arch);
+    col.identical = true;
+    // Per step, the median over laps of the per-frame mean.
+    std::vector<double> laps[5];
+    std::vector<std::vector<std::uint8_t>> stills(kFrames);
+    for (int lap = 0; lap < kLaps; ++lap) {
+      double us[5] = {};
+      for (std::size_t i = 0; i < kFrames; ++i) {
+        Stopwatch watch;
+        auto frame = codec::DecodeIntraFrameAt(encoded->bytes,
+                                               encoded->records[i]);
+        us[0] += watch.ElapsedMicros();
+        if (!frame.ok()) {
+          ReportScenarioFailure("still_transcode", "I-frame decode failed");
+          row.bit_identical = false;
+          return row;
+        }
+        watch.Start();
+        const media::Frame resized = media::ResizeFrame(*frame, kStill, kStill);
+        us[1] += watch.ElapsedMicros();
+        watch.Start();
+        stills[i] = codec::EncodeStill(resized, kQp);
+        us[2] += watch.ElapsedMicros();
+        watch.Start();
+        auto decoded = codec::DecodeStill(stills[i]);
+        us[3] += watch.ElapsedMicros();
+        watch.Start();
+        const media::Frame recon = codec::ReconstructStill(resized, kQp);
+        us[4] += watch.ElapsedMicros();
+        col.identical = col.identical && decoded.ok() &&
+                        SameFrame(recon, *decoded);
+      }
+      for (int k = 0; k < 5; ++k) laps[k].push_back(us[k] / kFrames);
+    }
+    const auto median = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      return v[v.size() / 2];
+    };
+    col.decode_us = median(laps[0]);
+    col.resize_us = median(laps[1]);
+    col.encode_still_us = median(laps[2]);
+    col.decode_still_us = median(laps[3]);
+    col.reconstruct_us = median(laps[4]);
+    if (reference_stills.empty()) reference_stills = stills;
+    col.identical = col.identical && stills == reference_stills;
+    row.bit_identical = row.bit_identical && col.identical;
+    row.arches.push_back(col);
+  }
+  if (!row.bit_identical) {
+    ReportScenarioFailure("still_transcode",
+                          "reconstruction differs from the decoded still");
+  }
+  return row;
 }
 
 // --------------------------------------------------------- kernel micros --
@@ -1995,6 +2114,22 @@ int main(int argc, char** argv) {
     }
   }
 
+  const StillTranscodeRow still = Enabled("still_transcode")
+                                      ? BenchStillTranscode()
+                                      : StillTranscodeRow{};
+  if (Enabled("still_transcode")) {
+    std::printf("still transcode (%zu 160x120 I-frames -> 96x96 stills, us "
+                "per frame) | bit-identical: %s\n",
+                still.frames, still.bit_identical ? "yes" : "NO");
+    for (const auto& col : still.arches) {
+      std::printf("  %-6s decode %.1f | resize %.1f | encode still %.1f | "
+                  "decode still %.1f | reconstruct %.1f | identical: %s\n",
+                  col.arch, col.decode_us, col.resize_us, col.encode_still_us,
+                  col.decode_still_us, col.reconstruct_us,
+                  col.identical ? "yes" : "NO");
+    }
+  }
+
   const MultiSessionResult multi =
       Enabled("multi_session") ? BenchMultiSession() : MultiSessionResult{};
   if (Enabled("multi_session")) {
@@ -2216,12 +2351,32 @@ int main(int argc, char** argv) {
   WriteFp32Columns(f, conv.arches, "ms");
   std::fprintf(f,
                "  },\n"
+               "  \"still_transcode\": {\n"
+               "    \"frames\": %zu,\n"
+               "    \"bit_identical\": %s,\n"
+               "    \"arches\": [",
+               still.frames, still.bit_identical ? "true" : "false");
+  for (std::size_t i = 0; i < still.arches.size(); ++i) {
+    const auto& col = still.arches[i];
+    std::fprintf(f,
+                 "%s\n      {\"arch\": \"%s\", \"decode_us\": %.1f, "
+                 "\"resize_us\": %.1f, \"encode_still_us\": %.1f, "
+                 "\"decode_still_us\": %.1f, \"reconstruct_still_us\": %.1f, "
+                 "\"identical\": %s}",
+                 i == 0 ? "" : ",", col.arch, col.decode_us, col.resize_us,
+                 col.encode_still_us, col.decode_still_us, col.reconstruct_us,
+                 col.identical ? "true" : "false");
+  }
+  std::fprintf(f,
+               "%s    ]\n"
+               "  },\n"
                "  \"multi_session\": {\n"
                "    \"sessions\": %zu,\n"
                "    \"frames_total\": %zu,\n"
                "    \"aggregate_fps\": %.2f,\n"
                "    \"stages\": [",
-               multi.sessions, multi.frames_total, multi.aggregate_fps);
+               still.arches.empty() ? "" : "\n", multi.sessions,
+               multi.frames_total, multi.aggregate_fps);
   for (std::size_t i = 0; i < multi.stages.size(); ++i) {
     const auto& stage = multi.stages[i];
     std::fprintf(f,

@@ -34,6 +34,16 @@ void LoadBlock(const media::Plane& p, int bx, int by, int offset,
 /// pixels outside the plane are dropped (edge padding).
 void StoreBlock(const PixelBlock& block, int bx, int by, int offset,
                 media::Plane& p) {
+  if (p.ContainsRect(bx, by, kBlockSize, kBlockSize)) {
+    for (int y = 0; y < kBlockSize; ++y) {
+      const std::int16_t* src = block.data() + y * kBlockSize;
+      std::uint8_t* row = p.row(by + y) + bx;
+      for (int x = 0; x < kBlockSize; ++x) {
+        row[x] = std::uint8_t(std::clamp(int(src[x]) + offset, 0, 255));
+      }
+    }
+    return;
+  }
   for (int y = 0; y < kBlockSize; ++y) {
     if (by + y >= p.height()) break;
     for (int x = 0; x < kBlockSize; ++x) {
@@ -95,8 +105,10 @@ void StoreResidualRecon(const PixelBlock& residual, const media::Plane& pred,
 /// Intra plane pass 1 (per-block DCT + quantization + reconstruction):
 /// entropy-free, parallelizes over 8-pixel block rows — blocks read only
 /// `src` and write disjoint regions of `recon` and the coefficient list.
+/// A null `recon` skips the reconstruction: the coefficients, and so the
+/// bytes, do not depend on it.
 void CodeIntraPlanePass1(const media::Plane& src, const QuantTable& q,
-                         media::Plane& recon, runtime::Executor* executor,
+                         media::Plane* recon, runtime::Executor* executor,
                          std::vector<CoeffBlock>& coeffs) {
   const int blocks_x = (src.width() + kBlockSize - 1) / kBlockSize;
   const int blocks_y = (src.height() + kBlockSize - 1) / kBlockSize;
@@ -109,8 +121,12 @@ void CodeIntraPlanePass1(const media::Plane& src, const QuantTable& q,
     for (int i = 0; i < blocks_x; ++i) {
       const int bx = i * kBlockSize;
       LoadBlock(src, bx, by, 128, block);
+      if (recon == nullptr) {
+        QuantizeBlock(block, q, out[i]);
+        continue;
+      }
       ReconstructBlock(block, q, out[i], rec);
-      StoreBlock(rec, bx, by, 128, recon);
+      StoreBlock(rec, bx, by, 128, *recon);
     }
   };
   if (executor != nullptr && executor->concurrency() > 1 && blocks_y > 1) {
@@ -206,11 +222,21 @@ void EncodeIntraFrame(RangeEncoder& rc, FrameModels& models,
 void EncodeIntraFramePass1(const media::Frame& src, const CodingContext& ctx,
                            media::Frame& recon, runtime::Executor* executor,
                            IntraScratch& scratch) {
-  CodeIntraPlanePass1(src.y(), ctx.luma_q, recon.y(), executor,
+  CodeIntraPlanePass1(src.y(), ctx.luma_q, &recon.y(), executor,
                       scratch.coeffs[0]);
-  CodeIntraPlanePass1(src.u(), ctx.chroma_q, recon.u(), executor,
+  CodeIntraPlanePass1(src.u(), ctx.chroma_q, &recon.u(), executor,
                       scratch.coeffs[1]);
-  CodeIntraPlanePass1(src.v(), ctx.chroma_q, recon.v(), executor,
+  CodeIntraPlanePass1(src.v(), ctx.chroma_q, &recon.v(), executor,
+                      scratch.coeffs[2]);
+}
+
+void QuantizeIntraFrame(const media::Frame& src, const CodingContext& ctx,
+                        runtime::Executor* executor, IntraScratch& scratch) {
+  CodeIntraPlanePass1(src.y(), ctx.luma_q, nullptr, executor,
+                      scratch.coeffs[0]);
+  CodeIntraPlanePass1(src.u(), ctx.chroma_q, nullptr, executor,
+                      scratch.coeffs[1]);
+  CodeIntraPlanePass1(src.v(), ctx.chroma_q, nullptr, executor,
                       scratch.coeffs[2]);
 }
 

@@ -88,6 +88,14 @@ void EncodeIntraFramePass1(const media::Frame& src, const CodingContext& ctx,
                            media::Frame& recon, runtime::Executor* executor,
                            IntraScratch& scratch);
 
+/// Pass 1 minus the reconstruction: DCT + quantization only. Fills
+/// `scratch` exactly as EncodeIntraFramePass1 does (intra coefficients never
+/// depend on reconstructed pixels), so QuantizeIntraFrame +
+/// EncodeIntraFrameEntropy writes the same bytes as EncodeIntraFrame. For
+/// coders that never predict from the frame: stills.
+void QuantizeIntraFrame(const media::Frame& src, const CodingContext& ctx,
+                        runtime::Executor* executor, IntraScratch& scratch);
+
 /// Pass 2 of EncodeIntraFrame: the serial DC-predicted entropy sweep over a
 /// scratch filled by EncodeIntraFramePass1. The quantized coefficients do
 /// not depend on the DC predictor (prediction happens here, at the entropy

@@ -17,12 +17,14 @@ std::vector<std::uint8_t> EncodeStill(const media::Frame& frame, int qp,
   out.PutU16(std::uint16_t(frame.height()));
   out.PutU8(std::uint8_t(qp));
 
+  // A still is never predicted from, so its reconstruction is not needed:
+  // transform + quantize, then the entropy sweep.
+  IntraScratch scratch;
+  QuantizeIntraFrame(frame, CodingContext::ForQp(qp), executor, scratch);
   ByteWriter payload;
   RangeEncoder rc(&payload);
   FrameModels models;
-  const CodingContext ctx = CodingContext::ForQp(qp);
-  media::Frame recon(frame.width(), frame.height());
-  EncodeIntraFrame(rc, models, frame, ctx, recon, executor);
+  EncodeIntraFrameEntropy(rc, models, scratch);
   rc.Flush();
 
   out.PutU32(std::uint32_t(payload.size()));
@@ -65,6 +67,14 @@ Expected<media::Frame> DecodeStill(std::span<const std::uint8_t> bytes) {
   media::Frame frame(*w, *h);
   DecodeIntraFrame(rc, models, ctx, frame);
   return frame;
+}
+
+media::Frame ReconstructStill(const media::Frame& frame, int qp) {
+  IntraScratch scratch;
+  media::Frame recon(frame.width(), frame.height());
+  EncodeIntraFramePass1(frame, CodingContext::ForQp(qp), recon,
+                        /*executor=*/nullptr, scratch);
+  return recon;
 }
 
 }  // namespace sieve::codec

@@ -28,4 +28,14 @@ std::vector<std::uint8_t> EncodeStill(const media::Frame& frame, int qp = 26,
 /// Decode a SIM1 still image.
 Expected<media::Frame> DecodeStill(std::span<const std::uint8_t> bytes);
 
+/// The frame a still decodes to, without coding it: equal to
+/// `*DecodeStill(EncodeStill(frame, qp))` for every frame and qp in [1, 51].
+/// It runs only the intra pass 1 (per-block DCT, quantization and
+/// reconstruction) and skips both entropy coding and decoding. The equality
+/// holds by construction: the encoder's reconstruction and the decoder's
+/// output rebuild every block through the same ReconstructBlock/DecodeBlock
+/// and StoreBlock path. For edges that feed the NN the still's pixels but
+/// never ship its bytes.
+media::Frame ReconstructStill(const media::Frame& frame, int qp = 26);
+
 }  // namespace sieve::codec

@@ -91,11 +91,16 @@ const std::array<int, kBlockPixels>& ZigZagOrder() {
   return order;
 }
 
-void ReconstructBlock(const PixelBlock& src, const QuantTable& q,
-                      CoeffBlock& coeffs, PixelBlock& recon) {
+void QuantizeBlock(const PixelBlock& src, const QuantTable& q,
+                   CoeffBlock& coeffs) {
   std::array<float, kBlockPixels> dct;
   ForwardDct(src, dct);
   Quantize(dct, q, coeffs);
+}
+
+void ReconstructBlock(const PixelBlock& src, const QuantTable& q,
+                      CoeffBlock& coeffs, PixelBlock& recon) {
+  QuantizeBlock(src, q, coeffs);
   DecodeBlock(coeffs, q, recon);
 }
 

@@ -47,6 +47,10 @@ void Dequantize(const CoeffBlock& in, const QuantTable& q,
 /// Zig-zag scan order (index i of the scan -> row-major position).
 const std::array<int, kBlockPixels>& ZigZagOrder();
 
+/// Encoder side: spatial block -> quantized coefficients (DCT -> quant).
+void QuantizeBlock(const PixelBlock& src, const QuantTable& q,
+                   CoeffBlock& coeffs);
+
 /// Convenience: quantized round trip of a spatial block
 /// (DCT -> quant -> dequant -> IDCT), as both encoder and decoder compute it.
 void ReconstructBlock(const PixelBlock& src, const QuantTable& q,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace sieve::media {
 
@@ -22,19 +23,35 @@ Plane ResizePlane(const Plane& src, int new_width, int new_height) {
   if (src.empty() || new_width <= 0 || new_height <= 0) return dst;
   const double sx = double(src.width()) / double(new_width);
   const double sy = double(src.height()) / double(new_height);
+  // The horizontal taps depend only on the column: compute them once. Every
+  // pixel still evaluates the same double expressions in the same order, so
+  // the output is byte-identical to the per-pixel form.
+  struct Tap {
+    int x0, x1;
+    double wx, wx1;  // weights of x1 and x0
+  };
+  std::vector<Tap> taps(static_cast<std::size_t>(new_width));
+  for (int x = 0; x < new_width; ++x) {
+    const double fx = (double(x) + 0.5) * sx - 0.5;
+    const int x0 = std::clamp(int(std::floor(fx)), 0, src.width() - 1);
+    const double wx = std::clamp(fx - double(x0), 0.0, 1.0);
+    taps[std::size_t(x)] = Tap{x0, std::min(x0 + 1, src.width() - 1), wx,
+                               1 - wx};
+  }
   for (int y = 0; y < new_height; ++y) {
     const double fy = (double(y) + 0.5) * sy - 0.5;
     const int y0 = std::clamp(int(std::floor(fy)), 0, src.height() - 1);
     const int y1 = std::min(y0 + 1, src.height() - 1);
     const double wy = std::clamp(fy - double(y0), 0.0, 1.0);
+    const double wy1 = 1 - wy;
+    const std::uint8_t* r0 = src.row(y0);
+    const std::uint8_t* r1 = src.row(y1);
+    std::uint8_t* out = dst.row(y);
     for (int x = 0; x < new_width; ++x) {
-      const double fx = (double(x) + 0.5) * sx - 0.5;
-      const int x0 = std::clamp(int(std::floor(fx)), 0, src.width() - 1);
-      const int x1 = std::min(x0 + 1, src.width() - 1);
-      const double wx = std::clamp(fx - double(x0), 0.0, 1.0);
-      const double top = double(src.at(x0, y0)) * (1 - wx) + double(src.at(x1, y0)) * wx;
-      const double bot = double(src.at(x0, y1)) * (1 - wx) + double(src.at(x1, y1)) * wx;
-      dst.at(x, y) = ClampByte(top * (1 - wy) + bot * wy);
+      const Tap& t = taps[std::size_t(x)];
+      const double top = double(r0[t.x0]) * t.wx1 + double(r0[t.x1]) * t.wx;
+      const double bot = double(r1[t.x0]) * t.wx1 + double(r1[t.x1]) * t.wx;
+      out[x] = ClampByte(top * wy1 + bot * wy);
     }
   }
   return dst;

@@ -92,9 +92,10 @@ class Network {
   /// input shape.
   std::vector<LayerProfile> Profile() const;
 
-  /// Profile + wall-clock per-layer timing averaged over `iterations` runs,
-  /// at the given precision — an int8 session must be planned against int8
-  /// timings, not fp32 ones. This is the measured input the
+  /// Profile + wall-clock per-layer timing at the given precision (an int8
+  /// session must be planned against int8 timings, not fp32 ones): after
+  /// one untimed warm-up pass, each layer's minimum over `iterations` timed
+  /// passes. This is the measured input the
   /// Neurosurgeon-style planner (nn/partition.h) consumes as
   /// PartitionInput::profile.
   std::vector<LayerProfile> ProfileLayers(

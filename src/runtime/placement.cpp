@@ -8,6 +8,12 @@
 
 namespace sieve::runtime {
 
+namespace {
+// Timed profile passes per planner measurement, after one warm-up pass:
+// enough for each layer's minimum to shed a preempted or cold pass.
+constexpr int kPlannerProfilePasses = 5;
+}  // namespace
+
 const char* PlacementModeName(PlacementMode mode) noexcept {
   switch (mode) {
     case PlacementMode::kDefault: return "default";
@@ -50,11 +56,10 @@ nn::PartitionInput MeasurePlannerInput(const nn::FrameClassifier& classifier,
                                        int nn_input_size, int still_qp,
                                        const net::LinkModel& wan,
                                        double cloud_speedup,
-                                       int profile_iterations,
                                        nn::Precision precision) {
   nn::PartitionInput input;
   input.profile =
-      classifier.network().ProfileLayers(profile_iterations, precision);
+      classifier.network().ProfileLayers(kPlannerProfilePasses, precision);
   // What split 0 actually ships: a transcoded still of the NN input frame.
   // Encode one (mid-grey + gradient, representative texture) and take its
   // real size.

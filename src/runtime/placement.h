@@ -71,7 +71,6 @@ PlacementPlan ResolvePlacement(PlacementMode mode,
 nn::PartitionInput MeasurePlannerInput(
     const nn::FrameClassifier& classifier, int nn_input_size, int still_qp,
     const net::LinkModel& wan, double cloud_speedup,
-    int profile_iterations = 2,
     nn::Precision precision = nn::Precision::kFp32);
 
 }  // namespace sieve::runtime

@@ -16,11 +16,38 @@ namespace sieve::runtime {
 
 namespace {
 
-// Flow-file "kind" attribute values: what the payload holds downstream of
-// the edge-NN stage. Missing attribute reads as a still (split 0).
+// Flow-file "kind" attribute values: what the payload holds. A raw frame
+// travels only from the still transcode to the edge NN; downstream of the
+// edge NN a missing attribute reads as a still (split 0).
+constexpr char kKindFrame[] = "frame";
 constexpr char kKindStill[] = "still";
 constexpr char kKindActivation[] = "act";
 constexpr char kKindLabel[] = "label";
+
+// A raw YUV 4:2:0 frame as a flow-file payload: its three planes back to
+// back. It never leaves the edge, so it carries no header.
+std::vector<std::uint8_t> PackFrame(const media::Frame& frame) {
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(frame.ByteSize());
+  for (const media::Plane* p : {&frame.y(), &frame.u(), &frame.v()}) {
+    bytes.insert(bytes.end(), p->data(), p->data() + p->size());
+  }
+  return bytes;
+}
+
+// The frame PackFrame packed, given its dimensions; nullopt on a size
+// mismatch.
+std::optional<media::Frame> UnpackFrame(std::span<const std::uint8_t> bytes,
+                                        int width, int height) {
+  media::Frame frame(width, height);
+  if (bytes.size() != frame.ByteSize()) return std::nullopt;
+  const std::uint8_t* src = bytes.data();
+  for (media::Plane* p : {&frame.y(), &frame.u(), &frame.v()}) {
+    std::copy(src, src + p->size(), p->data());
+    src += p->size();
+  }
+  return frame;
+}
 
 // The incarnation sequence minted into a route ("gate-7#12" -> 12).
 std::uint64_t RouteSeq(const std::string& route) {
@@ -398,8 +425,9 @@ void Runtime::BuildTiers() {
         return file;
       });
 
-  // --- Edge: decompress the I-frame like a still, resize to the NN input,
-  // and re-encode for the NN stage. Runs transcode_parallelism workers;
+  // --- Edge: decompress the I-frame like a still and resize it to the NN
+  // input. The raw resized frame goes on to the edge NN, which codes only
+  // what the frame's placement needs. Runs transcode_parallelism workers;
   // the ordered flag keeps every camera's frames in push order downstream.
   pipeline_.AddStage(
       "edge/still-transcode",
@@ -420,29 +448,28 @@ void Runtime::BuildTiers() {
         media::Frame frame(header.width, header.height);
         codec::DecodeIntraFrame(rc, models, ctx, frame);
 
-        const media::Frame resized = media::ResizeFrame(
-            frame, config_.nn_input_size, config_.nn_input_size);
-        // Deliberately no executor: this stage already scales ACROSS stills
-        // via transcode_parallelism workers; nesting per-still row
-        // parallelism here would oversubscribe the shared pool. (Stills are
-        // NN-input-sized — a handful of block rows — so the inner win is
-        // small anyway.)
-        dataflow::FlowFile out(codec::EncodeStill(resized, config_.still_qp));
+        dataflow::FlowFile out(PackFrame(media::ResizeFrame(
+            frame, config_.nn_input_size, config_.nn_input_size)));
         out.trace = file.trace;
         out.SetU64("frame", file.GetU64("frame").value_or(0));
         out.SetU64("t_push_us", file.GetU64("t_push_us").value_or(0));
         out.SetAttribute("camera", session->route);
-        out.SetAttribute("kind", kKindStill);
+        out.SetAttribute("kind", kKindFrame);
         return out;
       },
       config_.transcode_parallelism, /*ordered=*/true);
 
   // --- Edge: the session's share of the split forward pass ----------------
-  // split == 0: pass the still through; the cloud runs the whole network.
-  // 0 < split < N: run layers [0, split) and ship the serialized cut-point
-  //                activation instead of the still.
+  // split == 0: encode the still; the cloud runs the whole network.
+  // 0 < split < N: run layers [0, split) on the still's reconstruction and
+  //                ship the serialized cut-point activation instead.
   // split >= N: finish inference AND the centroid match here; only the
   //             label crosses to the cloud tier (all-edge placement).
+  // Only split 0 entropy-codes a still: the others need its pixels, which
+  // ReconstructStill yields exactly as DecodeStill(EncodeStill(...)) would.
+  // Stills are coded without an executor: this tier already scales ACROSS
+  // frames via its workers, and nesting per-still row parallelism would
+  // oversubscribe the shared pool (a still is a handful of block rows).
   pipeline_.AddStage(
       "edge/nn",
       [this](dataflow::FlowFile file) -> std::optional<dataflow::FlowFile> {
@@ -453,13 +480,19 @@ void Runtime::BuildTiers() {
         // only affects frames that have not yet passed this stage;
         // in-flight activations finish on the plan they started with.
         const std::size_t split = session->ActivePlan()->split;
-        if (split == 0) return file;
-        auto still = codec::DecodeStill(file.payload());
-        if (!still.ok()) {
+        const auto frame = UnpackFrame(file.payload(), config_.nn_input_size,
+                                       config_.nn_input_size);
+        if (!frame) {
           session->RecordOutcome(file, internal::FrameOutcome::kDroppedCorrupt);
           return std::nullopt;
         }
-        const nn::Tensor input = classifier_->InputTensor(*still);
+        if (split == 0) {
+          file.payload() = codec::EncodeStill(*frame, config_.still_qp);
+          file.SetAttribute("kind", kKindStill);
+          return file;
+        }
+        const nn::Tensor input = classifier_->InputTensor(
+            codec::ReconstructStill(*frame, config_.still_qp));
         const std::size_t layers = classifier_->network().LayerCount();
         // Session-fixed (unlike the split, which replans): the cloud suffix
         // and the fleet batcher read the same field, so both halves of a
@@ -725,7 +758,7 @@ nn::PartitionInput Runtime::PlannerInputForModel(const net::LinkModel& wan,
   if (entry.profile.empty()) {
     nn::PartitionInput measured = MeasurePlannerInput(
         *classifier_, config_.nn_input_size, config_.still_qp, wan,
-        config_.cloud_speedup, /*profile_iterations=*/2, precision);
+        config_.cloud_speedup, precision);
     entry.profile = std::move(measured.profile);
     entry.still_bytes = measured.input_bytes;
   }

@@ -44,6 +44,9 @@ Fails (exit 1) on a >threshold regression in the tracked scenarios:
                     band), and replaying journals must reproduce the live
                     run's query snapshot exactly (hard-fail
                     recovered_identical)
+  * still_transcode — hard-fail bit_identical boolean: the still
+                    reconstruction equals the decoded still, and the still
+                    bytes are the same, on every kernel table
 
 Ratio metrics (speedups) are machine-normalized — both legs run in the same
 process on the same box — so they are comparable between the committed
@@ -84,6 +87,7 @@ SCENARIO_OF = {
     "pipelined_encode": "pipelined_encode",
     "trace_overhead": "trace_overhead",
     "durability": "durability",
+    "still_transcode": "still_transcode",
 }
 
 
@@ -200,6 +204,11 @@ BOOLEANS = [
     # snapshot the live run produced — same routes, seals, and per-class
     # intervals. A false is lost or reordered durability data, not noise.
     "durability.recovered_identical",
+    # Hard gate: the edge feeds its NN ReconstructStill's pixels in place of
+    # decoding the still it would have encoded; on every kernel table they
+    # must equal DecodeStill(EncodeStill(...)) and the still bytes must be
+    # the scalar table's. A false changes labels with the placement.
+    "still_transcode.bit_identical",
 ]
 
 # The trace recorder's overhead contract (docs/observability.md): enabling
