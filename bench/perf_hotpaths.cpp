@@ -9,7 +9,7 @@
 // Usage: perf_hotpaths [out.json] [parallel_threads] [scenarios] [trace.json]
 //   scenarios: comma-separated subset of
 //     encode,motion,gemm,conv,multi_session,nn_placement,live_query,
-//     dct_sad_kernels,wan_chaos,fleet_scale,int8_inference,pipelined_encode,
+//     dct_sad_kernels,wan_chaos,int8_inference,pipelined_encode,
 //     trace_overhead,durability,still_transcode
 //   (default: all). Skipped scenarios report zeros in the JSON.
 //   trace.json: when given, the trace_overhead scenario writes its traced
@@ -66,8 +66,8 @@ constexpr std::uint64_t kSeed = 20260729;
 constexpr const char* kKnownScenarios[] = {
     "encode", "motion", "gemm",         "conv",      "multi_session",
     "nn_placement", "live_query", "dct_sad_kernels", "wan_chaos",
-    "fleet_scale", "int8_inference", "pipelined_encode", "trace_overhead",
-    "durability", "still_transcode"};
+    "int8_inference", "pipelined_encode", "trace_overhead", "durability",
+    "still_transcode"};
 
 /// Set when a scenario could not run (encode failure, session failure...);
 /// main exits nonzero so tools/run_bench.sh never commits a partial report.
@@ -1148,180 +1148,6 @@ WanChaosResult BenchWanChaos() {
   return out;
 }
 
-// ------------------------------------------------------------ fleet scale --
-
-struct FleetScaleRow {
-  std::size_t sessions = 0;
-  std::size_t frames_total = 0;     ///< per leg (both legs push the same)
-  double unbatched_fps = 0;         ///< per-frame cloud serving
-  double batched_fps = 0;           ///< cross-session batcher on
-  double unbatched_p99_ms = 0;      ///< worst per-camera delivered p99
-  double batched_p99_ms = 0;
-  double occupancy_avg = 0;         ///< batched leg: mean samples per flush
-  std::uint64_t batches = 0;        ///< batched leg: flushes run
-  bool bit_identical = false;       ///< every camera's db equal across legs
-};
-
-struct FleetScaleResult {
-  std::vector<FleetScaleRow> rows;  ///< the session-count sweep
-  bool bit_identical = true;        ///< all rows
-  double speedup_at_max = 0;        ///< batched/unbatched fps, largest fleet
-  double batched_fps_at_max = 0;    ///< batched aggregate fps, largest fleet
-  double batched_p99_at_max_ms = 0; ///< batched worst-camera p99, largest
-};
-
-FleetScaleResult BenchFleetScale() {
-  // The fleet knee: N concurrent sessions stream one pre-encoded feed
-  // through one runtime, once with per-frame cloud serving and once with
-  // the cross-session InferenceBatcher, at identical stage parallelism —
-  // the only delta is the batch. Sweeping N exposes where per-frame serving
-  // saturates the cloud stage while batches keep amortizing, and the dbs
-  // must stay bit-identical across both legs (the batching contract).
-  constexpr int kW = 64, kH = 48;
-  constexpr std::size_t kFrames = 48;
-  synth::SceneConfig cfg;
-  cfg.width = kW;
-  cfg.height = kH;
-  cfg.num_frames = kFrames;
-  cfg.seed = kSeed + 71;
-  cfg.object_scale = 0.3;
-  cfg.mean_gap_seconds = 0.6;
-  cfg.min_gap_seconds = 0.3;
-  cfg.mean_dwell_seconds = 0.8;
-  cfg.min_dwell_seconds = 0.4;
-  cfg.noise_sigma = 2.0;
-  cfg.jitter_px = 1;
-  const auto scene = synth::GenerateScene(cfg);
-
-  nn::ClassifierParams cp;
-  cp.input_size = 48;
-  cp.embedding_dim = 16;
-  nn::FrameClassifier classifier(cp);
-  if (!classifier.Fit(scene.video.frames, scene.truth, 4).ok()) {
-    ReportScenarioFailure("fleet_scale", "classifier fit failed");
-    return {};
-  }
-  // GOP 2: one cloud inference (WAN still) every 2nd frame, so the cloud
-  // tier dominates the run. Encode once; every session replays the same
-  // wire bytes, so the push side is cheap and the cloud is the contended
-  // resource.
-  auto encoded = codec::VideoEncoder(codec::EncoderParams::Semantic(2, 120))
-                     .Encode(scene.video);
-  if (!encoded.ok()) {
-    ReportScenarioFailure("fleet_scale", "encode failed");
-    return {};
-  }
-  const std::span<const std::uint8_t> bytes(encoded->bytes);
-
-  struct Leg {
-    bool ok = false;
-    double fps = 0;
-    double p99_ms = 0;
-    runtime::RuntimeHealth health;
-    std::vector<std::map<std::size_t, std::uint32_t>> dbs;  ///< per camera
-  };
-  const auto run_leg = [&](std::size_t n, bool batched) -> Leg {
-    runtime::RuntimeConfig rc;
-    rc.nn_input_size = 48;
-    rc.wan_parallelism = 2;
-    rc.cloud_nn_parallelism = 2;
-    if (batched) {
-      rc.cloud_batch_max = 32;
-      rc.cloud_batch_deadline_ms = 20.0;
-    }
-    runtime::Runtime rt(rc, &classifier);
-    std::vector<std::unique_ptr<runtime::SieveSession>> sessions;
-    for (std::size_t cam = 0; cam < n; ++cam) {
-      runtime::SessionConfig sc;
-      sc.width = kW;
-      sc.height = kH;
-      sc.encoder = codec::EncoderParams::Semantic(2, 120);
-      auto session = rt.OpenSession("fleet-" + std::to_string(cam), sc);
-      if (!session.ok()) {
-        ReportScenarioFailure("fleet_scale", "OpenSession failed");
-        return {};
-      }
-      sessions.push_back(std::move(*session));
-    }
-    Leg leg;
-    Stopwatch watch;
-    std::vector<std::thread> feeds;
-    feeds.reserve(n);
-    for (auto& session : sessions) {
-      feeds.emplace_back([&session, bytes, &encoded] {
-        for (const auto& record : encoded->records) {
-          if (!session
-                   ->PushEncoded(record.type, record.index,
-                                 bytes.subspan(record.payload_offset -
-                                                   codec::FrameRecord::kHeaderSize,
-                                               codec::FrameRecord::kHeaderSize +
-                                                   record.payload_size))
-                   .ok()) {
-            return;
-          }
-        }
-      });
-    }
-    for (auto& t : feeds) t.join();
-    std::size_t frames = 0;
-    for (auto& session : sessions) {
-      const runtime::SessionReport report = session->Drain();
-      frames += report.frames_pushed;
-      leg.p99_ms = std::max(leg.p99_ms, report.latency_p99_ms);
-      std::map<std::size_t, std::uint32_t> rows;
-      for (const auto& [frame, labels] : session->db().rows()) {
-        rows.emplace(frame, labels.bits());
-      }
-      leg.dbs.push_back(std::move(rows));
-    }
-    const double seconds = watch.ElapsedSeconds();
-    leg.fps = seconds > 0 ? double(frames) / seconds : 0.0;
-    leg.health = rt.health();
-    (void)rt.Shutdown();
-    leg.ok = frames == n * kFrames;
-    return leg;
-  };
-
-  // Best-of-N *interleaved* repetitions per leg: one-core CI containers
-  // jitter ~5-10% run to run, which would swamp the batching delta measured
-  // from a single pass, and the jitter is time-correlated (throttling
-  // phases), so back-to-back same-leg reps share the bias. Alternating
-  // unbatched/batched inside each rep and keeping each leg's fastest pass
-  // gives both legs the same shot at a quiet window.
-  constexpr int kReps = 3;
-  FleetScaleResult out;
-  for (const std::size_t n : {std::size_t(8), std::size_t(32),
-                              std::size_t(64)}) {
-    Leg unbatched, batched;
-    for (int rep = 0; rep < kReps; ++rep) {
-      Leg u = run_leg(n, false);
-      Leg b = run_leg(n, true);
-      if (!u.ok || !b.ok) {
-        ReportScenarioFailure("fleet_scale", "a leg lost frames");
-        return out;
-      }
-      if (!unbatched.ok || u.fps > unbatched.fps) unbatched = std::move(u);
-      if (!batched.ok || b.fps > batched.fps) batched = std::move(b);
-    }
-    FleetScaleRow row;
-    row.sessions = n;
-    row.frames_total = n * kFrames;
-    row.unbatched_fps = unbatched.fps;
-    row.batched_fps = batched.fps;
-    row.unbatched_p99_ms = unbatched.p99_ms;
-    row.batched_p99_ms = batched.p99_ms;
-    row.occupancy_avg = batched.health.cloud_batch_occupancy_avg;
-    row.batches = batched.health.cloud_batches;
-    row.bit_identical = unbatched.dbs == batched.dbs;
-    out.bit_identical = out.bit_identical && row.bit_identical;
-    out.speedup_at_max = Ratio(row.batched_fps, row.unbatched_fps);
-    out.batched_fps_at_max = row.batched_fps;
-    out.batched_p99_at_max_ms = row.batched_p99_ms;
-    out.rows.push_back(row);
-  }
-  return out;
-}
-
 // -------------------------------------------------------- int8 inference --
 
 struct Int8InferenceRow {
@@ -1464,8 +1290,9 @@ PipelinedEncodeRow BenchPipelinedEncode(int parallel_threads) {
   row.multicore = std::thread::hardware_concurrency() >= 2;
 
   // Best-of-N interleaved reps: each leg runs ~0.2s post-SIMD, so one-off
-  // scheduler noise would swamp the overlap delta; alternating legs gives
-  // both the same shot at a quiet window (same rationale as fleet_scale).
+  // scheduler noise would swamp the overlap delta, and the noise is
+  // time-correlated (throttling phases); alternating legs gives both the
+  // same shot at a quiet window.
   constexpr int kReps = 3;
   double plain_s = 0, piped_s = 0;
   std::vector<std::uint8_t> plain_bytes, piped_bytes;
@@ -1510,14 +1337,14 @@ TraceOverheadRow BenchTraceOverhead(int parallel_threads,
                                     const std::string& trace_path) {
   // The observability contract, measured: one identical workload — a
   // parallel pipelined encode plus two camera sessions served through 5%
-  // WAN loss into the batched cloud tier — runs with the trace recorder off
+  // WAN loss into the cloud tier — runs with the trace recorder off
   // and on, and the deltas must be (a) nothing in the output (bitstream and
   // per-camera dbs byte-identical, hard failure here) and (b) under 2% in
   // wall time (gated in tools/check_bench.py). Legs are interleaved
-  // best-of-N like fleet_scale so scheduler noise hits both equally. The
+  // best-of-N like pipelined_encode so scheduler noise hits both equally. The
   // traced leg is a chaos leg on purpose: its Chrome trace (written to
   // trace_path when given) shows per-frame encode passes, WAN retries,
-  // batcher residency, and db inserts — the artifact CI uploads.
+  // and db inserts — the artifact CI uploads.
   // The encode part uses the pipelined_encode busy feed (320x240): the leg
   // has to run long enough (~0.25s+) that the recorder's one-time costs —
   // each fresh thread's first event allocates its ring — amortize below the
@@ -1592,14 +1419,12 @@ TraceOverheadRow BenchTraceOverhead(int parallel_threads,
       return leg;
     }
     leg.bytes = std::move(encoded->bytes);
-    // Part 2: two sessions through the chaos WAN into the batched cloud.
+    // Part 2: two sessions through the chaos WAN into the cloud.
     runtime::RuntimeConfig rc;
     rc.nn_input_size = 32;
     rc.wan_faults.seed = kSeed + 83;
     rc.wan_faults.drop_probability = 0.05;
     rc.adaptive_placement = false;  // same plan both legs, deterministic
-    rc.cloud_batch_max = 8;
-    rc.cloud_batch_deadline_ms = 10.0;
     runtime::Runtime rt(rc, &classifier);
     std::vector<std::unique_ptr<runtime::SieveSession>> sessions;
     for (int cam = 0; cam < 2; ++cam) {
@@ -2185,24 +2010,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const FleetScaleResult fleet =
-      Enabled("fleet_scale") ? BenchFleetScale() : FleetScaleResult{};
-  if (Enabled("fleet_scale")) {
-    std::printf("fleet_scale: bit-identical %s | speedup at largest fleet "
-                "%.2fx\n",
-                fleet.bit_identical ? "yes" : "NO", fleet.speedup_at_max);
-    for (const auto& row : fleet.rows) {
-      std::printf("  %3zu cams | unbatched %.1f fps p99 %.2f ms | batched "
-                  "%.1f fps p99 %.2f ms (%.2fx) | %llu batches, occupancy "
-                  "%.1f\n",
-                  row.sessions, row.unbatched_fps, row.unbatched_p99_ms,
-                  row.batched_fps, row.batched_p99_ms,
-                  Ratio(row.batched_fps, row.unbatched_fps),
-                  static_cast<unsigned long long>(row.batches),
-                  row.occupancy_avg);
-    }
-  }
-
   const Int8InferenceRow int8 =
       Enabled("int8_inference") ? BenchInt8Inference() : Int8InferenceRow{};
   if (Enabled("int8_inference")) {
@@ -2443,32 +2250,6 @@ int main(int argc, char** argv) {
                  i == 0 ? "" : ",", row.loss, row.frames, row.delivered,
                  row.dropped, static_cast<unsigned long long>(row.retries),
                  row.aggregate_fps, row.p99_frame_ms);
-  }
-  std::fprintf(f,
-               "\n    ]\n"
-               "  },\n"
-               "  \"fleet_scale\": {\n"
-               "    \"bit_identical\": %s,\n"
-               "    \"speedup_at_max\": %.3f,\n"
-               "    \"batched_fps_at_max\": %.2f,\n"
-               "    \"batched_p99_at_max_ms\": %.3f,\n"
-               "    \"sweep\": [",
-               fleet.bit_identical ? "true" : "false", fleet.speedup_at_max,
-               fleet.batched_fps_at_max, fleet.batched_p99_at_max_ms);
-  for (std::size_t i = 0; i < fleet.rows.size(); ++i) {
-    const auto& row = fleet.rows[i];
-    std::fprintf(f,
-                 "%s\n      {\"sessions\": %zu, \"frames_total\": %zu, "
-                 "\"unbatched_fps\": %.2f, \"batched_fps\": %.2f, "
-                 "\"speedup\": %.3f, \"unbatched_p99_ms\": %.3f, "
-                 "\"batched_p99_ms\": %.3f, \"batches\": %llu, "
-                 "\"occupancy_avg\": %.2f, \"bit_identical\": %s}",
-                 i == 0 ? "" : ",", row.sessions, row.frames_total,
-                 row.unbatched_fps, row.batched_fps,
-                 Ratio(row.batched_fps, row.unbatched_fps),
-                 row.unbatched_p99_ms, row.batched_p99_ms,
-                 static_cast<unsigned long long>(row.batches),
-                 row.occupancy_avg, row.bit_identical ? "true" : "false");
   }
   std::fprintf(f,
                "\n    ]\n"

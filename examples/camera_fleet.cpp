@@ -6,15 +6,15 @@
 // many-cameras -> one-edge -> one-cloud topology as running code.
 //
 // The final act scales past the tuned trio: `--cameras N` (default 16)
-// spins up N synthetic sessions on one runtime with cross-session batched
-// cloud inference enabled (docs/fleet.md), so many cameras' activations
-// share each ForwardSuffix pass instead of paying it per frame.
+// spins up N synthetic sessions on one runtime whose WAN and cloud-NN
+// stages each run two workers, so many cameras share one set of tiers.
 //
 // Run:  ./camera_fleet [--cameras N] [--trace-out trace.json]
 //
 // --trace-out records a Chrome trace of the live-fleet act (per-frame spans
 // from encode through WAN to the db inserts) and dumps the runtime's metric
 // registry next to it as <trace>.metrics.json (docs/observability.md).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -178,13 +178,11 @@ int main(int argc, char** argv) {
                 trace_out.c_str());
   }
 
-  // --- Fleet scale: N cameras sharing batched cloud inference --------------
+  // --- Fleet scale: N cameras sharing one runtime ---------------------------
   // One short scene is encoded once and every synthetic camera replays the
-  // wire bytes, so N only scales the serving side: N sessions' split-point
-  // activations funnel into one InferenceBatcher, and each flushed batch
-  // pays the suffix pass once for up to cloud_batch_max cameras.
-  std::printf("\nfleet scale: %d cameras, batched cloud inference\n",
-              fleet_cameras);
+  // wire bytes, so N only scales the serving side: N sessions' stills fan
+  // into one WAN hop and one cloud-NN stage.
+  std::printf("\nfleet scale: %d cameras on one runtime\n", fleet_cameras);
   synth::SceneConfig scene_cfg;
   scene_cfg.width = 64;
   scene_cfg.height = 48;
@@ -211,9 +209,6 @@ int main(int argc, char** argv) {
 
   runtime::RuntimeConfig fleet_config;
   fleet_config.nn_input_size = 32;
-  fleet_config.cloud_batch_max = 16;
-  fleet_config.cloud_batch_deadline_ms = 20.0;
-  fleet_config.cloud_batch_fairness_share = 4;
   fleet_config.wan_parallelism = 2;
   fleet_config.cloud_nn_parallelism = 2;
   runtime::Runtime fleet_rt(fleet_config, &fleet_classifier);
@@ -247,18 +242,15 @@ int main(int argc, char** argv) {
   }
   for (auto& t : fleet_feeds) t.join();
 
-  std::size_t delivered = 0, batched = 0;
+  std::size_t delivered = 0;
+  double worst_p99_ms = 0.0;
   for (auto& session : fleet_sessions) {
     const runtime::SessionReport report = session->Drain();
     delivered += report.frames_delivered;
-    batched += report.cloud_batched_frames;
+    worst_p99_ms = std::max(worst_p99_ms, report.latency_p99_ms);
   }
-  const runtime::RuntimeHealth health = fleet_rt.health();
-  std::printf("  delivered %zu frames (%zu via the batcher)\n", delivered,
-              batched);
-  std::printf("  %llu batched passes, avg occupancy %.1f cameras/pass\n",
-              static_cast<unsigned long long>(health.cloud_batches),
-              health.cloud_batch_occupancy_avg);
+  std::printf("  delivered %zu frames, worst-camera p99 latency %.1f ms\n",
+              delivered, worst_p99_ms);
   if (!fleet_rt.Shutdown().ok()) {
     std::printf("fleet shutdown FAILED\n");
     return 1;

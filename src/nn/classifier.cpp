@@ -124,20 +124,6 @@ double FrameClassifier::PredictionMargin(
   return (std::sqrt(second) - std::sqrt(best)) / (2.0 * norm);
 }
 
-std::vector<Expected<synth::LabelSet>> FrameClassifier::PredictBatch(
-    std::vector<Tensor> activations, std::size_t split,
-    Precision precision) const {
-  std::vector<Expected<synth::LabelSet>> out;
-  out.reserve(activations.size());
-  if (activations.empty()) return out;
-  std::vector<Tensor> embeddings =
-      network_.ForwardSuffixBatch(std::move(activations), split, precision);
-  for (const Tensor& e : embeddings) {
-    out.push_back(PredictFromEmbedding(e.values()));
-  }
-  return out;
-}
-
 Expected<synth::LabelSet> FrameClassifier::Predict(const media::Frame& frame,
                                                    Precision precision) const {
   if (centroids_.empty()) {

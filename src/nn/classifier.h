@@ -70,18 +70,6 @@ class FrameClassifier {
   /// alongside. Returns 0 when unfitted, 1 with a single centroid.
   double PredictionMargin(const std::vector<float>& embedding) const;
 
-  /// Batched cloud-side prediction: run layers [split, N) over many
-  /// sessions' cut-point activations in one ForwardSuffixBatch pass, then
-  /// match each resulting embedding against the centroids. Element i of the
-  /// result is bit-identical to
-  /// PredictFromEmbedding(network().ForwardSuffix(activations[i], split)) —
-  /// the fleet batcher relies on this to keep batched serving
-  /// indistinguishable from per-frame serving. All activations must share
-  /// the shape ShapeAtLayer(split).
-  std::vector<Expected<synth::LabelSet>> PredictBatch(
-      std::vector<Tensor> activations, std::size_t split,
-      Precision precision = Precision::kFp32) const;
-
   /// Calibrate centroids from labelled frames. `stride` subsamples the
   /// training video (every stride-th frame) to bound calibration cost.
   Status Fit(const std::vector<media::Frame>& frames,

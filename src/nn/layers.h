@@ -29,16 +29,6 @@ class Layer {
   /// to mutate in place; the default falls back to Forward. The sequential
   /// network loop uses this entry point.
   virtual void ForwardInPlace(Tensor& t) const { t = Forward(t); }
-  /// Forward a batch of same-shaped samples. The contract is strict
-  /// bit-exactness per sample: ForwardBatch([x0..xB]) element i must equal
-  /// ForwardInPlace(xi) to the last float bit, for every batch size — the
-  /// fleet tier's batched cloud inference relies on it to produce the same
-  /// databases as the per-frame path. The default runs samples one by one
-  /// (trivially exact); an override must keep every element's accumulation
-  /// order batch-size-invariant.
-  virtual void ForwardBatch(std::vector<Tensor>& batch) const {
-    for (Tensor& t : batch) ForwardInPlace(t);
-  }
   /// Precision-aware forward. The default ignores the precision and runs the
   /// fp32 path — correct for every layer without a quantized implementation
   /// (elementwise/pooling layers run fp32 even inside an int8 pass; only the
@@ -46,18 +36,6 @@ class Layer {
   virtual void ForwardInPlace(Tensor& t, Precision precision) const {
     (void)precision;
     ForwardInPlace(t);
-  }
-  /// Precision-aware batched forward. fp32 routes to the (possibly
-  /// batched-fast-path) fp32 overload; int8 runs samples one by one, which
-  /// keeps the per-sample bit-exactness contract trivially (each sample's
-  /// dynamic activation scale depends only on that sample).
-  virtual void ForwardBatch(std::vector<Tensor>& batch,
-                            Precision precision) const {
-    if (precision == Precision::kFp32) {
-      ForwardBatch(batch);
-      return;
-    }
-    for (Tensor& t : batch) ForwardInPlace(t, precision);
   }
   /// Approximate multiply-accumulate count for one forward pass (cost model
   /// input for the partitioner and the DES calibration).

@@ -20,16 +20,6 @@ Tensor Network::ForwardRange(const Tensor& input, std::size_t begin,
   return cur;
 }
 
-std::vector<Tensor> Network::ForwardRangeBatch(std::vector<Tensor> batch,
-                                               std::size_t begin,
-                                               std::size_t end,
-                                               Precision precision) const {
-  for (std::size_t i = begin; i < end && i < layers_.size(); ++i) {
-    layers_[i]->ForwardBatch(batch, precision);
-  }
-  return batch;
-}
-
 Shape Network::ShapeAtLayer(std::size_t split) const {
   Shape shape = input_shape_;
   for (std::size_t i = 0; i < split && i < layers_.size(); ++i) {

@@ -47,25 +47,6 @@ class Network {
   Tensor ForwardRange(const Tensor& input, std::size_t begin, std::size_t end,
                       Precision precision = Precision::kFp32) const;
 
-  /// Batched forward through layers [begin, end). Every sample must share
-  /// one shape. Per-sample results are bit-identical to running
-  /// ForwardRange on each input alone — each layer's ForwardBatch carries
-  /// that contract (see Layer::ForwardBatch) — so batched cloud serving
-  /// produces exactly the databases the per-frame path would.
-  std::vector<Tensor> ForwardRangeBatch(
-      std::vector<Tensor> batch, std::size_t begin, std::size_t end,
-      Precision precision = Precision::kFp32) const;
-
-  /// The batched cloud half: layers [split, N) over many sessions'
-  /// cut-point activations at the same split. Bit-exact per sample vs
-  /// ForwardSuffix.
-  std::vector<Tensor> ForwardSuffixBatch(
-      std::vector<Tensor> activations, std::size_t split,
-      Precision precision = Precision::kFp32) const {
-    return ForwardRangeBatch(std::move(activations), split, layers_.size(),
-                             precision);
-  }
-
   /// The edge half of a split forward pass: layers [0, split), returning the
   /// cut-point activation. split == 0 returns the input unchanged (all-cloud
   /// execution); split == LayerCount() runs the whole network at the edge.

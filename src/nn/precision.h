@@ -2,8 +2,8 @@
 // opt-in quantized mode (per-channel symmetric weights, dynamic per-tensor
 // activations — see nn/quantize.h for the arithmetic contract). Precision is
 // threaded as a defaulted parameter through Layer/Network/FrameClassifier
-// and selected per session via runtime::SessionConfig, so edge, cloud, and
-// fleet-batched tiers can each run the mode their session asked for.
+// and selected per session via runtime::SessionConfig, so the edge and cloud
+// tiers each run the mode their session asked for.
 #pragma once
 
 namespace sieve::nn {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <functional>
 #include <utility>
 
 #include "codec/decoder.h"
@@ -81,10 +80,6 @@ void SessionState::BindMetrics(std::shared_ptr<obs::Registry> reg) {
   metrics.dropped_shutdown = registry->GetCounter(p + "dropped_shutdown");
   metrics.resumed = registry->GetCounter(p + "resumed");
   metrics.wan_retries = registry->GetCounter(p + "wan_retries");
-  metrics.cloud_batched_frames =
-      registry->GetCounter(p + "cloud_batched_frames");
-  metrics.cloud_batch_size_sum =
-      registry->GetCounter(p + "cloud_batch_size_sum");
   metrics.latency_ms = registry->GetHistogram(p + "latency_ms");
 }
 
@@ -186,7 +181,7 @@ Status SieveSession::PushWire(codec::FrameType type, std::uint64_t frame_index,
   // latency ledger measures push -> settle against it.
   file.SetU64("t_push_us", std::uint64_t(st.opened.ElapsedMicros()));
   // Trace identity: every span/instant this frame triggers downstream —
-  // stage transforms, WAN retries, batcher residency, the db insert, its
+  // stage transforms, WAN retries, the db insert, its
   // terminal outcome — lands on this (track, frame) pair.
   file.trace = obs::TraceContext{st.track, frame_index};
   // The camera sends over its LAN hop before the edge queue: backpressure
@@ -274,12 +269,6 @@ SessionReport SieveSession::Drain() {
   report.frames_dropped =
       report.dropped_wan + report.dropped_corrupt + report.dropped_shutdown;
   report.frames_resumed = std::size_t(m.resumed->value());
-  report.cloud_batched_frames = std::size_t(m.cloud_batched_frames->value());
-  if (report.cloud_batched_frames > 0) {
-    report.cloud_batch_occupancy_avg =
-        double(m.cloud_batch_size_sum->value()) /
-        double(report.cloud_batched_frames);
-  }
   if (m.latency_ms->count() > 0) {
     report.latency_avg_ms = m.latency_ms->sum() / double(m.latency_ms->count());
     report.latency_max_ms = m.latency_ms->max();
@@ -308,14 +297,6 @@ Runtime::Runtime(RuntimeConfig config, const nn::FrameClassifier* classifier,
   // by the time OpenSession can be called, the index already serves every
   // journaled camera and `recovered_` stages the resumable ones.
   if (config_.store.enabled()) RecoverFromStore();
-  if (config_.cloud_batch_max > 1 && classifier_ != nullptr) {
-    fleet::FleetSchedulerPolicy policy;
-    policy.batch_max = config_.cloud_batch_max;
-    policy.deadline_ms = config_.cloud_batch_deadline_ms;
-    policy.fairness_share = config_.cloud_batch_fairness_share;
-    batcher_ = std::make_unique<fleet::InferenceBatcher>(*classifier_,
-                                                         *executor_, policy);
-  }
   BuildTiers();
   // Recovery failure (unusable store dir) already poisoned start_status_;
   // don't let a clean pipeline start mask it.
@@ -495,8 +476,8 @@ void Runtime::BuildTiers() {
             codec::ReconstructStill(*frame, config_.still_qp));
         const std::size_t layers = classifier_->network().LayerCount();
         // Session-fixed (unlike the split, which replans): the cloud suffix
-        // and the fleet batcher read the same field, so both halves of a
-        // split forward always run at one precision.
+        // reads the same field, so both halves of a split forward always run
+        // at one precision.
         const nn::Precision precision = session->precision;
         dataflow::FlowFile out;
         if (split >= layers) {
@@ -584,14 +565,10 @@ void Runtime::BuildTiers() {
       },
       config_.wan_parallelism, /*ordered=*/true);
 
-  // --- Cloud: the widened NN stage. Decodes and validates every payload in
-  // parallel (cloud_nn_parallelism workers, order-kept per camera), then:
-  //   * batching off — finishes the split right here (suffix layers +
-  //     centroid match), emitting a label file for the sink to record;
-  //   * batching on — normalizes everything to a validated cut-point
-  //     activation (a still decodes to the split-0 activation) and passes
-  //     it through; the serial sink feeds the fleet batcher, which runs one
-  //     batched suffix pass per flush. Bit-exact either way.
+  // --- Cloud: the widened NN stage. Decodes and validates every payload and
+  // finishes the split (suffix layers + centroid match) in parallel
+  // (cloud_nn_parallelism workers, order-kept per camera), emitting a label
+  // file for the sink to record.
   pipeline_.AddStage(
       "cloud/nn",
       [this](dataflow::FlowFile file) -> std::optional<dataflow::FlowFile> {
@@ -599,7 +576,6 @@ void Runtime::BuildTiers() {
         if (!session) return std::nullopt;
         const std::string kind = file.GetAttribute("kind").value_or(kKindStill);
         if (kind == kKindLabel) return file;  // edge-computed; sink records it
-        const bool batching = batcher_ != nullptr;
         std::optional<nn::Tensor> activation;
         std::size_t split = 0;
         if (kind == kKindActivation) {
@@ -621,7 +597,6 @@ void Runtime::BuildTiers() {
                                    internal::FrameOutcome::kDroppedCorrupt);
             return std::nullopt;
           }
-          if (batching) return file;  // validated; the sink batches it
           activation = std::move(*parsed);
         } else {
           auto still = codec::DecodeStill(file.payload());
@@ -633,20 +608,6 @@ void Runtime::BuildTiers() {
           // A still is the split-0 cut point: the whole network runs here.
           activation = classifier_->InputTensor(*still);
           split = 0;
-          if (batching) {
-            dataflow::FlowFile out;
-            out.payload() = nn::SerializeTensor(*activation);
-            out.trace = file.trace;
-            out.SetAttribute("kind", kKindActivation);
-            out.SetU64("split", 0);
-            out.SetU64("frame", file.GetU64("frame").value_or(0));
-            out.SetU64("t_push_us", file.GetU64("t_push_us").value_or(0));
-            if (const auto wb = file.GetU64("wan_bytes")) {
-              out.SetU64("wan_bytes", *wb);
-            }
-            out.SetAttribute("camera", session->route);
-            return out;
-          }
         }
         auto predicted = classifier_->PredictFromEmbedding(
             classifier_->network()
@@ -671,59 +632,16 @@ void Runtime::BuildTiers() {
       config_.cloud_nn_parallelism, /*ordered=*/true);
 
   // --- Cloud sink: record results into the per-camera databases. Serial on
-  // purpose — batcher submissions must happen in per-camera arrival order
-  // (the ordered stages upstream only order *emissions*, not transform side
-  // effects), and the db insert itself is cheap.
+  // purpose — the ordered stages upstream order only their *emissions*, so
+  // one sink thread is what keeps each camera's inserts (and so its journal
+  // appends and query-index publications) in frame order; the db insert
+  // itself is cheap.
   pipeline_.SetSink("cloud/sink", [this](dataflow::FlowFile file) {
     auto session = FindSession(file);
     if (!session) return;
     const std::string kind = file.GetAttribute("kind").value_or(kKindStill);
-    if (kind == kKindActivation && batcher_ != nullptr) {
-      auto activation = nn::DeserializeTensor(file.payload());
-      if (!activation.ok()) {
-        session->RecordOutcome(file, internal::FrameOutcome::kDroppedCorrupt);
-        return;
-      }
-      const std::size_t split = std::size_t(file.GetU64("split").value_or(0));
-      // Fairness key: one stable value per session incarnation.
-      const std::uint64_t camera_key =
-          std::uint64_t(std::hash<std::string>{}(session->route));
-      // Batcher residency is observable per frame: the submit instant here,
-      // the covering "batch/flush" span on the flusher thread, and the
-      // "db/insert" span in the callback bound the time the frame spent
-      // queued versus in the batched pass.
-      obs::RecordInstant("batch/submit", file.trace, "split",
-                         std::uint64_t(split));
-      // Submit blocks while the batcher's window is full — that is this
-      // pipeline's backpressure propagating into the fleet tier. The
-      // callback runs on the flusher thread after the batched pass.
-      batcher_->Submit(
-          camera_key, split, std::move(*activation),
-          session->precision,
-          [session, file = std::move(file)](
-              Expected<synth::LabelSet> label, std::size_t batch_size) mutable {
-            if (!label.ok()) {
-              session->RecordOutcome(file,
-                                     internal::FrameOutcome::kDroppedCorrupt);
-              return;
-            }
-            {
-              obs::TraceSpan insert_span("db/insert", file.trace);
-              insert_span.Arg("batch_size", batch_size);
-              std::lock_guard<std::mutex> lock(session->mutex);
-              session->db.Insert(
-                  std::size_t(file.GetU64("frame").value_or(0)), *label);
-            }
-            session->metrics.cloud_batched_frames->Add();
-            session->metrics.cloud_batch_size_sum->Add(batch_size);
-            session->metrics.labels->Add();
-            session->RecordOutcome(file, internal::FrameOutcome::kDelivered);
-          });
-      return;
-    }
     if (kind != kKindLabel) {
-      // Nothing but labels (and, under batching, validated activations)
-      // reaches the sink; anything else is malformed.
+      // Nothing but labels reaches the sink; anything else is malformed.
       session->RecordOutcome(file, internal::FrameOutcome::kDroppedCorrupt);
       return;
     }
@@ -785,13 +703,6 @@ void Runtime::MaybeReactToWanHealth() {
 }
 
 void Runtime::ApplyWanHealth(net::LinkHealth link) {
-  // Link down: frames already past the WAN sit in the batcher aging toward
-  // its deadline while every session swaps to edge fallback. Force-flush so
-  // they settle (delivered) promptly and the delivered-or-dropped ledger
-  // reconciles exactly across the outage.
-  if (link == net::LinkHealth::kDown && batcher_ != nullptr) {
-    batcher_->FlushAll();
-  }
   const std::size_t layers = classifier_->network().LayerCount();
   std::vector<std::shared_ptr<internal::SessionState>> states;
   {
@@ -852,13 +763,6 @@ void Runtime::PublishMetrics() const {
   reg.GetGauge("wan.corrupt_bytes")->Set(double(meter.corrupt_bytes()));
   reg.GetGauge("runtime.replans")
       ->Set(double(replans_.load(std::memory_order_relaxed)));
-  if (batcher_ != nullptr) {
-    const fleet::BatcherStats bs = batcher_->stats();
-    reg.GetGauge("batch.flushes")->Set(double(bs.batches));
-    reg.GetGauge("batch.samples")->Set(double(bs.samples));
-    reg.GetGauge("batch.occupancy_avg")->Set(bs.occupancy_avg());
-    reg.GetGauge("batch.peak_pending")->Set(double(bs.peak_pending));
-  }
   std::size_t healthy = 0, degraded = 0, fallback = 0;
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
@@ -897,10 +801,6 @@ RuntimeHealth Runtime::health() const {
   h.sessions_degraded = std::size_t(gauge("runtime.sessions_degraded"));
   h.sessions_edge_fallback =
       std::size_t(gauge("runtime.sessions_edge_fallback"));
-  h.cloud_batches = std::uint64_t(gauge("batch.flushes"));
-  h.cloud_batch_samples = std::uint64_t(gauge("batch.samples"));
-  h.cloud_batch_occupancy_avg = gauge("batch.occupancy_avg");
-  h.cloud_batch_peak_pending = std::size_t(gauge("batch.peak_pending"));
   return h;
 }
 
@@ -1099,9 +999,6 @@ Expected<std::vector<dataflow::StageStats>> Runtime::Shutdown() {
   }
   if (!start_status_.ok()) return start_status_;
   auto stats = pipeline_.Finish();
-  // The pipeline can no longer submit; flush and drain the fleet batcher so
-  // every frame that reached the cloud settles before the ledgers are read.
-  if (batcher_ != nullptr) batcher_->Drain();
   // The tiers are drained: every session's database is final, so seal any
   // camera the owner never drained explicitly — the query index stays
   // complete and consistent for post-shutdown queries.

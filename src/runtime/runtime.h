@@ -27,8 +27,7 @@
 // with different plans run concurrently on one Runtime. The encoded frames
 // of all sessions fan into one edge chain via the pipeline's multi-source
 // fan-in; per-frame "camera" attributes route edge decode parameters and
-// cloud results back to the owning session. The legacy single-shot
-// core::SieveSystem::Run is a thin wrapper over a one-session Runtime.
+// cloud results back to the owning session.
 #pragma once
 
 #include <atomic>
@@ -48,7 +47,6 @@
 #include "common/stopwatch.h"
 #include "core/results_db.h"
 #include "dataflow/pipeline.h"
-#include "fleet/batcher.h"
 #include "media/frame.h"
 #include "net/fault.h"
 #include "net/link.h"
@@ -80,11 +78,10 @@ struct TraceOptions {
   std::string metrics_path;
 };
 
-/// Shared-tier configuration (what core::SystemConfig configured per run).
+/// Shared-tier configuration.
 struct RuntimeConfig {
   /// Placement applied to sessions that open with PlacementMode::kDefault.
-  /// Must not itself be kDefault (treated as kCloud). The legacy
-  /// core::NnTier knob maps onto this: kCloud -> kCloud, kEdge -> kEdge.
+  /// Must not itself be kDefault (treated as kCloud).
   PlacementMode default_placement = PlacementMode::kCloud;
   net::LinkModel camera_to_edge = net::LinkModel::Lan();
   net::LinkModel edge_to_cloud = net::LinkModel::Wan();
@@ -105,26 +102,12 @@ struct RuntimeConfig {
   int edge_nn_parallelism = 1;
   /// WAN-stage workers (order-kept): concurrent reliable sends over the
   /// shared hop. The transport and meters are internally synchronized; the
-  /// ordered gate keeps per-camera delivery order. At fleet scale the
-  /// serial WAN worker is the first fan-in bottleneck (see docs/fleet.md).
+  /// ordered gate keeps per-camera delivery order. With many sessions the
+  /// serial WAN worker is the first fan-in bottleneck.
   int wan_parallelism = 1;
-  /// Cloud-NN stage workers (order-kept): parallel payload decode and
-  /// validation, plus — when batching is off — the per-frame suffix
-  /// inference itself.
+  /// Cloud-NN stage workers (order-kept): parallel payload decode,
+  /// validation and the per-frame suffix inference.
   int cloud_nn_parallelism = 1;
-  /// Cross-session batched cloud inference (src/fleet/): > 1 routes every
-  /// delivered activation/still through an InferenceBatcher that flushes
-  /// one batched ForwardSuffix pass per size threshold or deadline.
-  /// Per-sample results are bit-exact vs the per-frame path, so enabling
-  /// batching never changes any camera's database. <= 1 disables batching
-  /// (the cloud/nn stage predicts inline, frame by frame).
-  std::size_t cloud_batch_max = 1;
-  /// Age bound (ms) on a partially filled batch: a lightly loaded fleet
-  /// flushes at this deadline instead of waiting for a full batch.
-  double cloud_batch_deadline_ms = 10.0;
-  /// Fairness: max samples one camera may hold in a single batch
-  /// (0 = uncapped); see fleet::FleetSchedulerPolicy.
-  std::size_t cloud_batch_fairness_share = 0;
   /// Admission control: maximum concurrently open sessions (0 = unlimited).
   /// Over-capacity OpenSession calls fail with kResourceExhausted.
   std::size_t max_sessions = 0;
@@ -164,7 +147,7 @@ enum class SessionHealth { kHealthy, kDegraded, kEdgeFallback };
 
 const char* SessionHealthName(SessionHealth health) noexcept;
 
-/// Runtime-wide health snapshot: the WAN transport's state plus the fleet's
+/// Runtime-wide health snapshot: the WAN transport's state plus the
 /// per-session supervision counters. Readable from any thread at any time.
 struct RuntimeHealth {
   net::LinkHealth wan_link = net::LinkHealth::kHealthy;
@@ -177,11 +160,6 @@ struct RuntimeHealth {
   std::size_t sessions_healthy = 0;
   std::size_t sessions_degraded = 0;
   std::size_t sessions_edge_fallback = 0;
-  // Fleet batching tier (zero when cloud_batch_max <= 1).
-  std::uint64_t cloud_batches = 0;        ///< batched flushes run
-  std::uint64_t cloud_batch_samples = 0;  ///< frames served by batches
-  double cloud_batch_occupancy_avg = 0.0; ///< mean samples per flush
-  std::size_t cloud_batch_peak_pending = 0;  ///< max queued in the batcher
 };
 
 /// Per-camera configuration.
@@ -207,8 +185,7 @@ struct SessionConfig {
   /// bytes still cross the runtime's shared realized WAN hop.
   std::optional<net::LinkModel> wan_hint;
   /// Inference precision for this session's classifier work — everywhere it
-  /// runs: the edge prefix/full forward, the cloud suffix, and the fleet
-  /// batcher's batched passes (which never mix precisions in one flush).
+  /// runs: the edge prefix/full forward and the cloud suffix.
   /// Fixed for the session's lifetime; the split may replan on WAN health,
   /// the precision does not. kAuto placements are planned against per-layer
   /// timings measured at this precision — an int8 session's split must come
@@ -273,12 +250,6 @@ struct SessionReport {
   double latency_avg_ms = 0.0;
   double latency_p99_ms = 0.0;
   double latency_max_ms = 0.0;
-  /// Frames of this camera that rode the fleet batcher's batched cloud
-  /// passes (0 unless RuntimeConfig::cloud_batch_max > 1).
-  std::size_t cloud_batched_frames = 0;
-  /// Frame-weighted mean size of the batches those frames rode in — this
-  /// camera's share of the fleet's amortization.
-  double cloud_batch_occupancy_avg = 0.0;
 };
 
 namespace internal {
@@ -308,8 +279,6 @@ struct SessionMetrics {
   obs::Counter* dropped_shutdown = nullptr;
   obs::Counter* resumed = nullptr;  ///< frames acked against the journal
   obs::Counter* wan_retries = nullptr;
-  obs::Counter* cloud_batched_frames = nullptr;
-  obs::Counter* cloud_batch_size_sum = nullptr;
   /// Push-to-settle latency of delivered frames, milliseconds.
   obs::Histogram* latency_ms = nullptr;
 };
@@ -541,8 +510,8 @@ class Runtime {
   /// Shutdown() for post-hoc queries as long as the Runtime exists.
   query::QueryService& query() const noexcept { return *query_; }
 
-  /// Runtime-wide health snapshot: WAN transport state + fleet supervision
-  /// counters. Safe from any thread, any time (including post-Shutdown).
+  /// Runtime-wide health snapshot: WAN transport state + session
+  /// supervision counters. Safe from any thread, any time (including post-Shutdown).
   RuntimeHealth health() const;
 
   /// The WAN transport (fault plan, retry policy, live stats). Exposed for
@@ -555,8 +524,8 @@ class Runtime {
   /// as frames settle; PublishMetrics() refreshes the shared-tier gauges.
   obs::Registry& registry() const noexcept { return *registry_; }
 
-  /// Refresh the wan.* / batch.* / runtime.* gauges from their live
-  /// sources (transport stats, byte meters, batcher, supervision states).
+  /// Refresh the wan.* / runtime.* gauges from their live sources
+  /// (transport stats, byte meters, supervision states).
   /// health() calls this; call it directly before registry().Snapshot()
   /// to get a coherent external dump.
   void PublishMetrics() const;
@@ -598,11 +567,7 @@ class Runtime {
   /// Last LinkHealth ApplyWanHealth ran for (as int); CAS'd by the wan
   /// stage so each transition triggers exactly one replan sweep.
   std::atomic<int> reacted_health_{0};
-  std::atomic<std::uint64_t> replans_{0};  ///< fleet-wide plan swaps
-  /// The fleet batching tier (null when cloud_batch_max <= 1). Declared
-  /// before pipeline_ on purpose: the sink submits into the batcher, so it
-  /// must outlive the pipeline's teardown.
-  std::unique_ptr<fleet::InferenceBatcher> batcher_;
+  std::atomic<std::uint64_t> replans_{0};  ///< plan swaps, all sessions
   dataflow::Pipeline pipeline_;
   Status start_status_;
   /// Query layer + the shared stream clock's epoch (sessions are stamped

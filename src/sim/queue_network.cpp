@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 
 namespace sieve::sim {
 
@@ -12,20 +11,6 @@ int QueueNetwork::AddStation(std::string name, int servers, ServiceFn service) {
   station.stats.name = std::move(name);
   station.servers = std::max(1, servers);
   station.service = std::move(service);
-  stations_.push_back(std::move(station));
-  return int(stations_.size()) - 1;
-}
-
-int QueueNetwork::AddBatchStation(std::string name, int servers,
-                                  fleet::FleetSchedulerPolicy policy,
-                                  BatchServiceFn service) {
-  Station station;
-  station.name = name;
-  station.stats.name = std::move(name);
-  station.servers = std::max(1, servers);
-  station.batch = true;
-  station.scheduler = fleet::FleetScheduler(policy);
-  station.batch_service = std::move(service);
   stations_.push_back(std::move(station));
   return int(stations_.size()) - 1;
 }
@@ -50,61 +35,7 @@ void QueueNetwork::ArriveAt(Pending pending) {
   station.queue.push_back(std::move(pending));
   station.stats.peak_queue =
       std::max(station.stats.peak_queue, station.queue.size());
-  if (station.batch) {
-    // The arriving job may not fill a batch; make sure the deadline can
-    // still flush it. One wakeup per arrival keeps the logic stateless
-    // (the event is a no-op if the job already flushed). The epsilon keeps
-    // floating-point ages from landing a hair under the deadline.
-    sim_->ScheduleIn(
-        station.scheduler.policy().deadline_ms / 1e3 + 1e-9,
-        [this, sid] { TryStartBatch(sid); });
-    TryStartBatch(sid);
-    return;
-  }
   TryStart(sid);
-}
-
-void QueueNetwork::TryStartBatch(int station_id) {
-  Station& station = stations_[std::size_t(station_id)];
-  while (station.busy < station.servers && !station.queue.empty()) {
-    const double oldest_age_ms =
-        (sim_->Now() - station.queue.front().enqueued_at) * 1e3;
-    if (!station.scheduler.ShouldFlush(station.queue.size(), oldest_age_ms)) {
-      return;  // the per-arrival deadline wakeup will revisit
-    }
-    // Compose the batch exactly like the live batcher: fairness-planned
-    // FIFO prefix keyed by Job::kind (the camera).
-    std::vector<std::uint64_t> cameras;
-    cameras.reserve(station.queue.size());
-    for (const Pending& p : station.queue) cameras.push_back(p.job.kind);
-    const std::vector<std::size_t> plan = station.scheduler.PlanBatch(cameras);
-    auto batch = std::make_shared<std::vector<Pending>>();
-    batch->reserve(plan.size());
-    for (auto it = plan.rbegin(); it != plan.rend(); ++it) {
-      batch->push_back(std::move(station.queue[*it]));
-      station.queue.erase(station.queue.begin() + std::ptrdiff_t(*it));
-    }
-    std::reverse(batch->begin(), batch->end());
-    ++station.busy;
-    std::vector<Job*> jobs;
-    jobs.reserve(batch->size());
-    for (Pending& p : *batch) {
-      station.stats.total_wait_seconds += sim_->Now() - p.enqueued_at;
-      jobs.push_back(&p.job);
-    }
-    const double service = station.batch_service(jobs);
-    station.stats.busy_seconds += service;
-    station.stats.served += batch->size();
-    ++station.stats.batches;
-    sim_->ScheduleIn(service, [this, station_id, batch]() {
-      Station& s = stations_[std::size_t(station_id)];
-      --s.busy;
-      for (Pending& p : *batch) ++p.hop;
-      // Free the server first, then route the batch's jobs onward.
-      TryStartBatch(station_id);
-      for (Pending& p : *batch) ArriveAt(std::move(p));
-    });
-  }
 }
 
 void QueueNetwork::TryStart(int station_id) {

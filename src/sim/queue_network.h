@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "fleet/scheduler.h"
 #include "sim/simulator.h"
 
 namespace sieve::sim {
@@ -30,24 +29,15 @@ struct Job {
 /// mutate it (e.g. decode shrinks bytes to a resized still).
 using ServiceFn = std::function<double(Job&)>;
 
-/// Batch-station service model: service seconds for one batched pass over
-/// the given jobs (e.g. fixed weight-streaming cost + per-sample cost).
-using BatchServiceFn = std::function<double(const std::vector<Job*>&)>;
-
 struct StationStats {
   std::string name;
   std::uint64_t served = 0;
   double busy_seconds = 0.0;      ///< total service time delivered
   double total_wait_seconds = 0.0;///< queueing delay (excludes service)
   std::size_t peak_queue = 0;
-  std::uint64_t batches = 0;      ///< batched passes (batch stations only)
 
   double utilization(double makespan, int servers) const noexcept {
     return makespan > 0 ? busy_seconds / (makespan * servers) : 0.0;
-  }
-  /// Mean batch occupancy of a batch station (served jobs per pass).
-  double occupancy_avg() const noexcept {
-    return batches > 0 ? double(served) / double(batches) : 0.0;
   }
 };
 
@@ -57,17 +47,6 @@ class QueueNetwork {
 
   /// Returns the station id.
   int AddStation(std::string name, int servers, ServiceFn service);
-
-  /// A batching FCFS station: jobs accumulate until the FleetScheduler
-  /// policy flushes them (batch_max samples, or the oldest job hits the
-  /// deadline), then one batched pass serves the whole batch on a free
-  /// server. Job::kind is the fairness key (camera id). This is the DES
-  /// twin of fleet::InferenceBatcher — the same policy object drives both,
-  /// so a candidate batch/deadline/fairness setting is validated at
-  /// 10k-camera scale in virtual time before the live runtime hosts it.
-  int AddBatchStation(std::string name, int servers,
-                      fleet::FleetSchedulerPolicy policy,
-                      BatchServiceFn service);
 
   /// Inject a job at `arrival` that visits `route` stations in order.
   void Inject(Job job, std::vector<int> route, double arrival);
@@ -101,15 +80,10 @@ class QueueNetwork {
     ServiceFn service;
     std::vector<Pending> queue;  // FIFO
     StationStats stats;
-    // Batch-station extras (batch == true).
-    bool batch = false;
-    fleet::FleetScheduler scheduler;
-    BatchServiceFn batch_service;
   };
 
   void ArriveAt(Pending pending);
   void TryStart(int station_id);
-  void TryStartBatch(int station_id);
   void FinishJob(Pending pending);
 
   Simulator* sim_;

@@ -1,5 +1,5 @@
 // Per-frame tracing across the whole pipeline: two live camera sessions
-// stream through 15% WAN loss into the batched cloud tier with the trace
+// stream through 15% WAN loss into the cloud tier with the trace
 // recorder on, and every delivered frame must yield a complete, causally
 // ordered span tree — encode pass -> edge seeker stage -> wan/sent ->
 // db/insert -> frame/delivered — on that frame's (track, frame) identity.
@@ -50,8 +50,8 @@ struct RunResult {
 /// One full 2-session run: PushFrame (so encode happens inside the
 /// session, emitting encode spans on the session's track), 15% loss with a
 /// deep retry budget (every I-frame eventually delivers — the delivered
-/// SET is deterministic even though the retry pattern is not), batched
-/// cloud inference.
+/// SET is deterministic even though the retry pattern is not), per-frame
+/// cloud inference on two workers.
 RunResult RunPipeline(const synth::SyntheticVideo& scene,
                       nn::FrameClassifier* classifier) {
   RuntimeConfig config;
@@ -60,8 +60,7 @@ RunResult RunPipeline(const synth::SyntheticVideo& scene,
   config.wan_faults.drop_probability = 0.15;
   config.wan_retry.max_attempts = 8;
   config.adaptive_placement = false;
-  config.cloud_batch_max = 8;
-  config.cloud_batch_deadline_ms = 10.0;
+  config.cloud_nn_parallelism = 2;
   Runtime runtime(config, classifier);
 
   SessionConfig sc;

@@ -1,6 +1,6 @@
 // Golden bit-exactness of fp32 inference: FNV-1a hashes of the float bits
-// of every backbone layer's output, of the final embedding (fp32 and int8),
-// of a batched pass and of the classifier's input tensor, pinned to
+// of every backbone layer's output, of the final embedding (fp32 and int8)
+// and of the classifier's input tensor, pinned to
 // constants recorded before inference moved onto the SIMD kernel table.
 // Every compiled and supported kernel arch must reproduce them exactly, so
 // embeddings, labels, databases and WAN bytes cannot drift with dispatch,
@@ -24,7 +24,6 @@ namespace sieve::nn {
 namespace {
 
 constexpr std::uint64_t kSeed = 0x51E5Eull;
-constexpr std::size_t kBatch = 3;
 
 // Recorded with the pre-dispatch fp32 code (GCC 12, -O2, x86-64 baseline
 // ISA). One entry per MakeBackbone(96, 64) layer.
@@ -34,15 +33,6 @@ constexpr std::uint64_t kLayerHashes[] = {
     0x7C62B3B209D75DE4ull, 0x38A81EA4DAE6EE96ull, 0xB793B704C77BBD7Dull,
     0xE839778E7C038E07ull, 0x0CBAC83C63DE4050ull, 0x78B6E15C8E84C620ull,
     0x407BAF22F45A616Full,
-};
-// The same layers run through Layer::ForwardBatch on kBatch samples; each
-// entry hashes the samples' outputs in batch order.
-constexpr std::uint64_t kBatchLayerHashes[] = {
-    0x35D9419AD6F303F7ull, 0x3C29F80384FB4CEFull, 0x9B0E0BF7693E60EFull,
-    0xEFBF884E19BF7AC8ull, 0x6483420EEA1603D5ull, 0xC14756A02532C051ull,
-    0x357594000F214D70ull, 0x9BBC9F9DCB35A4A2ull, 0x4B34912F5A61B1CEull,
-    0x5EA538D041AA3577ull, 0xDF41AC75C421F173ull, 0x26347E6C5F1039A8ull,
-    0x3C3FD3A5F2AD9DF0ull,
 };
 constexpr std::uint64_t kInt8EmbeddingHash = 0xD3850E07FE791A83ull;
 // FrameClassifier::InputTensor of a 96x96 frame and of a resized 160x120
@@ -125,29 +115,6 @@ TEST(GoldenBitExact, BackboneLayersMatchRecordedHashes) {
     // The network's own loop is the path inference takes.
     EXPECT_EQ(Hex(Hash(net.Forward(input))), Hex(kLayerHashes[12]))
         << simd::KernelArchName(arch) << " embedding";
-  }
-}
-
-TEST(GoldenBitExact, BatchedLayersMatchRecordedHashes) {
-  const Network net = MakeBackbone(96, 64, kSeed);
-  ASSERT_EQ(net.LayerCount(), std::size(kBatchLayerHashes));
-  for (simd::KernelArch arch : RunnableArches()) {
-    simd::ScopedKernelArch pin(arch);
-    std::vector<Tensor> batch;
-    for (std::size_t s = 0; s < kBatch; ++s) {
-      batch.push_back(SeededInput(net.input_shape(), kSeed + s));
-    }
-    for (std::size_t i = 0; i < net.LayerCount(); ++i) {
-      net.layer(i).ForwardBatch(batch);
-      Fnv1a h;
-      for (const Tensor& t : batch) h.Add(t);
-      EXPECT_EQ(Hex(h.value()), Hex(kBatchLayerHashes[i]))
-          << simd::KernelArchName(arch) << " layer " << i << " ("
-          << net.layer(i).name() << ")";
-    }
-    // Sample 0 is the single-input test's input: batching is invisible.
-    EXPECT_EQ(Hex(Hash(batch.front())), Hex(kLayerHashes[12]))
-        << simd::KernelArchName(arch);
   }
 }
 

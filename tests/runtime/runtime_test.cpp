@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <span>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "codec/encoder.h"
 #include "synth/scene.h"
 
 namespace sieve::runtime {
@@ -464,40 +467,174 @@ TEST_F(RuntimeTest, Int8SessionsAgreeAcrossPlacements) {
   }
 }
 
-TEST_F(RuntimeTest, Int8SessionsRideTheirOwnBatches) {
-  // Batched cloud serving at mixed precisions: the fleet batcher keys
-  // batches by (split, precision), so an int8 camera's frames ride int8
-  // passes and its database matches an unbatched int8 session exactly.
-  RuntimeConfig batched_config = SmallConfig();
-  batched_config.cloud_batch_max = 4;
-  batched_config.cloud_batch_deadline_ms = 1.0;
-  Runtime runtime(batched_config, classifier_);
-
+TEST_F(RuntimeTest, MixedPrecisionSessionsMatchTheirIsolatedRuns) {
+  // Precision is per session: an int8 camera and an fp32 camera sharing one
+  // runtime (one classifier, parallel cloud workers) each get exactly the
+  // database they would get streaming alone.
   SessionConfig int8_cfg = SceneSession();
   int8_cfg.precision = nn::Precision::kInt8;
-  auto int8_session = runtime.OpenSession("i8-batched", int8_cfg);
-  auto fp32_session = runtime.OpenSession("fp32-batched", SceneSession());
-  ASSERT_TRUE(int8_session.ok());
-  ASSERT_TRUE(fp32_session.ok());
-  for (const auto& frame : scene_->video.frames) {
-    ASSERT_TRUE((*int8_session)->PushFrame(frame).ok());
-    ASSERT_TRUE((*fp32_session)->PushFrame(frame).ok());
-  }
-  const SessionReport int8_report = (*int8_session)->Drain();
-  (void)(*fp32_session)->Drain();
-  EXPECT_EQ(int8_report.precision, nn::Precision::kInt8);
-  EXPECT_GT(int8_report.cloud_batched_frames, 0u);
+  const std::vector<SessionConfig> configs = {int8_cfg, SceneSession()};
 
-  // Reference: the same int8 feed without batching.
-  Runtime plain_runtime(SmallConfig(), classifier_);
-  auto plain = plain_runtime.OpenSession("i8-plain", int8_cfg);
-  ASSERT_TRUE(plain.ok());
-  for (const auto& frame : scene_->video.frames) {
-    ASSERT_TRUE((*plain)->PushFrame(frame).ok());
+  RuntimeConfig shared_config = SmallConfig();
+  shared_config.cloud_nn_parallelism = 2;
+  Runtime shared(shared_config, classifier_);
+  std::vector<std::unique_ptr<SieveSession>> sessions;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    auto session = shared.OpenSession("cam-" + std::to_string(i), configs[i]);
+    ASSERT_TRUE(session.ok());
+    sessions.push_back(std::move(*session));
   }
-  (void)(*plain)->Drain();
-  EXPECT_EQ((*int8_session)->db().rows(), (*plain)->db().rows())
-      << "batched int8 results diverged from the per-frame int8 path";
+  for (const auto& frame : scene_->video.frames) {
+    for (auto& session : sessions) {
+      ASSERT_TRUE(session->PushFrame(frame).ok());
+    }
+  }
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const SessionReport report = sessions[i]->Drain();
+    EXPECT_EQ(report.precision, configs[i].precision);
+    EXPECT_GT(report.labels_written, 0u);
+
+    Runtime isolated(SmallConfig(), classifier_);
+    auto alone = isolated.OpenSession("alone", configs[i]);
+    ASSERT_TRUE(alone.ok());
+    for (const auto& frame : scene_->video.frames) {
+      ASSERT_TRUE((*alone)->PushFrame(frame).ok());
+    }
+    (void)(*alone)->Drain();
+    EXPECT_EQ(sessions[i]->db().rows(), (*alone)->db().rows())
+        << nn::PrecisionName(configs[i].precision)
+        << ": a shared runtime changed this session's results";
+  }
+}
+
+// A pre-encoded video replayed through a one-session Runtime with
+// PushEncoded: the offline "stream this recording" use of the tiers.
+class RuntimeReplayTest : public testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    synth::SceneConfig c;
+    c.width = 128;
+    c.height = 96;
+    c.num_frames = 150;
+    c.seed = 71;
+    c.mean_gap_seconds = 1.2;
+    c.min_gap_seconds = 0.6;
+    c.mean_dwell_seconds = 1.5;
+    c.min_dwell_seconds = 0.8;
+    scene_ = new synth::SyntheticVideo(synth::GenerateScene(c));
+
+    nn::ClassifierParams cp;
+    cp.input_size = 48;
+    cp.embedding_dim = 32;
+    classifier_ = new nn::FrameClassifier(cp);
+    ASSERT_TRUE(classifier_->Fit(scene_->video.frames, scene_->truth, 5).ok());
+
+    auto encoded =
+        codec::VideoEncoder(codec::EncoderParams::Semantic(100000, 280))
+            .Encode(scene_->video);
+    ASSERT_TRUE(encoded.ok());
+    encoded_ = new codec::EncodedVideo(std::move(*encoded));
+  }
+  static void TearDownTestSuite() {
+    delete scene_;
+    delete classifier_;
+    delete encoded_;
+  }
+
+  struct Replay {
+    SessionReport report;
+    std::vector<dataflow::StageStats> stages;
+    core::ResultsDatabase db;
+  };
+
+  /// Replay encoded_ through a fresh one-session Runtime at `placement`.
+  static Replay Run(PlacementMode placement) {
+    RuntimeConfig config;
+    config.default_placement = placement;
+    config.nn_input_size = 48;
+    Runtime runtime(config, classifier_);
+    SessionConfig session_config;
+    session_config.width = encoded_->header.width;
+    session_config.height = encoded_->header.height;
+    session_config.fps = encoded_->header.fps;
+    session_config.encoder.qp = encoded_->header.qp;  // edge decode context
+    auto session = runtime.OpenSession("camera", session_config);
+    EXPECT_TRUE(session.ok());
+    Replay replay;
+    if (!session.ok()) return replay;
+    const std::span<const std::uint8_t> bytes(encoded_->bytes);
+    for (const codec::FrameRecord& record : encoded_->records) {
+      const auto wire =
+          bytes.subspan(record.payload_offset - codec::FrameRecord::kHeaderSize,
+                        codec::FrameRecord::kHeaderSize + record.payload_size);
+      EXPECT_TRUE(
+          (*session)->PushEncoded(record.type, record.index, wire).ok());
+    }
+    replay.report = (*session)->Drain();
+    auto stages = runtime.Shutdown();
+    EXPECT_TRUE(stages.ok());
+    if (stages.ok()) replay.stages = std::move(*stages);
+    for (const auto& [frame, labels] : (*session)->db().rows()) {
+      replay.db.Insert(frame, labels);
+    }
+    return replay;
+  }
+
+  static synth::SyntheticVideo* scene_;
+  static nn::FrameClassifier* classifier_;
+  static codec::EncodedVideo* encoded_;
+};
+
+synth::SyntheticVideo* RuntimeReplayTest::scene_ = nullptr;
+nn::FrameClassifier* RuntimeReplayTest::classifier_ = nullptr;
+codec::EncodedVideo* RuntimeReplayTest::encoded_ = nullptr;
+
+TEST_F(RuntimeReplayTest, CloudRunProcessesOnlyIFrames) {
+  const Replay replay = Run(PlacementMode::kCloud);
+  EXPECT_EQ(replay.report.frames_pushed, encoded_->records.size());
+  EXPECT_EQ(replay.report.iframes_selected, encoded_->IntraFrameCount());
+  EXPECT_EQ(replay.report.labels_written, replay.report.iframes_selected);
+  EXPECT_EQ(replay.db.size(), replay.report.iframes_selected);
+}
+
+TEST_F(RuntimeReplayTest, BytesAccountedOnBothHops) {
+  const Replay replay = Run(PlacementMode::kCloud);
+  // Camera->edge carries every frame (payload + header bytes).
+  std::size_t expected_c2e = 0;
+  for (const auto& r : encoded_->records) {
+    expected_c2e += r.payload_size + codec::FrameRecord::kHeaderSize;
+  }
+  EXPECT_EQ(replay.report.camera_to_edge_bytes, expected_c2e);
+  // Edge->cloud only carries resized stills of I-frames: far smaller.
+  EXPECT_GT(replay.report.edge_to_cloud_bytes, 0u);
+  EXPECT_LT(replay.report.edge_to_cloud_bytes,
+            replay.report.camera_to_edge_bytes / 3);
+}
+
+TEST_F(RuntimeReplayTest, EdgeRunSendsNothingToCloud) {
+  const Replay replay = Run(PlacementMode::kEdge);
+  EXPECT_EQ(replay.report.edge_to_cloud_bytes, 0u);
+  EXPECT_EQ(replay.report.labels_written, encoded_->IntraFrameCount());
+}
+
+TEST_F(RuntimeReplayTest, PropagatedLabelsAreMostlyCorrect) {
+  const Replay replay = Run(PlacementMode::kCloud);
+  std::size_t correct = 0;
+  for (std::size_t f = 0; f < scene_->truth.frame_count(); ++f) {
+    if (replay.db.LabelAt(f) == scene_->truth.label(f)) ++correct;
+  }
+  const double accuracy = double(correct) / double(scene_->truth.frame_count());
+  EXPECT_GT(accuracy, 0.7)
+      << "end-to-end propagated per-frame accuracy through the real pipeline";
+}
+
+TEST_F(RuntimeReplayTest, StageStatsCoverPipeline) {
+  const Replay replay = Run(PlacementMode::kCloud);
+  // camera, seeker, transcode, edge-nn, wan, cloud-nn, cloud-sink
+  ASSERT_EQ(replay.stages.size(), 7u);
+  EXPECT_EQ(replay.stages[0].out, encoded_->records.size());
+  EXPECT_EQ(replay.stages[1].in, encoded_->records.size());
+  EXPECT_EQ(replay.stages[1].out, encoded_->IntraFrameCount());
 }
 
 }  // namespace

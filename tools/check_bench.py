@@ -19,9 +19,6 @@ Fails (exit 1) on a >threshold regression in the tracked scenarios:
                     per-arch check that the avx2 table is not slower than
                     the sse2 table when both ran (a wider table that loses
                     to the narrower one means a broken kernel or dispatch)
-  * fleet_scale   — batched-vs-unbatched serving at the largest fleet, plus
-                    a hard-fail bit_identical boolean (batching must never
-                    change a prediction)
   * int8_inference — int8-vs-fp32 backbone speedup, plus a hard-fail
                     agreement_ok boolean (the quantization contract:
                     >= 99% top-1 agreement on decidable frames and every
@@ -82,7 +79,6 @@ SCENARIO_OF = {
     "live_query": "live_query",
     "dct_sad_kernels": "dct_sad_kernels",
     "wan_chaos": "wan_chaos",
-    "fleet_scale": "fleet_scale",
     "int8_inference": "int8_inference",
     "pipelined_encode": "pipelined_encode",
     "trace_overhead": "trace_overhead",
@@ -131,19 +127,6 @@ METRICS = [
     ("dct_sad_kernels.fdct_speedup", False, 2.0),
     ("dct_sad_kernels.idct_speedup", False, 2.0),
     ("dct_sad_kernels.sad_speedup", False, 2.0),
-    # Batched-vs-unbatched fleet serving. The speedup is same-process and
-    # machine-normalized, but each leg is a full 64-session pipeline run
-    # whose inference share of wall time varies with core count — on a
-    # 1-core box the ratio hovers near 1.0 while multi-core runners see the
-    # batcher's amortization. Gate only a collapse (batching made serving
-    # dramatically slower), not the exact ratio.
-    ("fleet_scale.speedup_at_max", False, 2.0),
-    # Aggregate batched fps / worst-camera p99 at the largest fleet:
-    # absolute numbers with no in-run reference, so the widest band — they
-    # fire only on a serving-path catastrophe (batcher serializing the
-    # fleet, a deadline that sleeps real time per frame).
-    ("fleet_scale.batched_fps_at_max", False, 4.0),
-    ("fleet_scale.batched_p99_at_max_ms", True, 20.0),
     # Int8-vs-fp32 backbone forward: same-process and machine-normalized,
     # but the int8 advantage shifts with the SIMD tier the runner's CPU
     # offers (AVX2 u8s8 dot vs scalar accumulate), so the widened band —
@@ -182,11 +165,6 @@ BOOLEANS = [
     # Every chaos leg's delivered-or-dropped ledger must balance — a false
     # here means the transport silently lost a frame under load.
     "wan_chaos.reconciled",
-    # Hard gate: batched cloud inference must be bit-identical to the
-    # per-frame path for every camera at every fleet size. A false here is
-    # a correctness bug in ForwardSuffixBatch or the batcher's routing, not
-    # noise — no band, no skip.
-    "fleet_scale.bit_identical",
     # Hard gate: the int8 quantization contract (>= 99% top-1 agreement on
     # decidable frames, every flip below the noise floor, raw agreement
     # >= 90%). A false is a broken scale/zero-point or a drifted backbone,
