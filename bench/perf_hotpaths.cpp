@@ -9,8 +9,8 @@
 // Usage: perf_hotpaths [out.json] [parallel_threads] [scenarios] [trace.json]
 //   scenarios: comma-separated subset of
 //     encode,motion,gemm,conv,multi_session,nn_placement,live_query,
-//     dct_sad_kernels,wan_chaos,int8_inference,pipelined_encode,
-//     trace_overhead,durability,still_transcode
+//     dct_sad_kernels,wan_chaos,pipelined_encode,trace_overhead,
+//     durability,still_transcode
 //   (default: all). Skipped scenarios report zeros in the JSON.
 //   trace.json: when given, the trace_overhead scenario writes its traced
 //   leg's Chrome trace there (load in chrome://tracing).
@@ -66,7 +66,7 @@ constexpr std::uint64_t kSeed = 20260729;
 constexpr const char* kKnownScenarios[] = {
     "encode", "motion", "gemm",         "conv",      "multi_session",
     "nn_placement", "live_query", "dct_sad_kernels", "wan_chaos",
-    "int8_inference", "pipelined_encode", "trace_overhead", "durability",
+    "pipelined_encode", "trace_overhead", "durability",
     "still_transcode"};
 
 /// Set when a scenario could not run (encode failure, session failure...);
@@ -1148,100 +1148,6 @@ WanChaosResult BenchWanChaos() {
   return out;
 }
 
-// -------------------------------------------------------- int8 inference --
-
-struct Int8InferenceRow {
-  double fp32_forward_ms = 0;   ///< full backbone forward, deployed size
-  double int8_forward_ms = 0;
-  double speedup = 0;           ///< fp32_ms / int8_ms, same process
-  std::size_t frames = 0;       ///< agreement sample size
-  std::size_t decidable = 0;    ///< frames with fp32 margin > noise floor
-  double agreement_raw = 0;     ///< fp32 == int8 label bits, all frames
-  double agreement_decidable = 0;  ///< same, decidable frames only
-  double worst_flip_margin = 0; ///< largest fp32 margin among flipped frames
-  bool agreement_ok = false;    ///< the int8 quantization contract held
-};
-
-Int8InferenceRow BenchInt8Inference() {
-  // The quantization trade in one row: per-frame latency of the deployed
-  // backbone at fp32 vs int8 (same process, same input — the speedup the
-  // planner banks when a session opens at kInt8), plus the end-to-end
-  // agreement contract from docs/perf.md: decidable frames (fp32 prediction
-  // margin above the int8 noise floor) must agree >= 99%, any flip must sit
-  // below the floor, and the raw all-frames number stays >= 90%.
-  constexpr double kNoiseFloor = 0.02;  // ~2x the int8 relative embedding error
-  synth::SceneConfig cfg;
-  cfg.width = 160;
-  cfg.height = 120;
-  cfg.num_frames = 300;
-  cfg.seed = kSeed + 21;
-  cfg.classes = {synth::ObjectClass::kCar, synth::ObjectClass::kPerson};
-  cfg.mean_gap_seconds = 1.2;
-  cfg.min_gap_seconds = 0.5;
-  cfg.mean_dwell_seconds = 2.0;
-  cfg.min_dwell_seconds = 1.0;
-  cfg.noise_sigma = 1.0;
-  const auto scene = synth::GenerateScene(cfg);
-
-  // Deployed-size model: the agreement gate and the latency numbers are
-  // properties of the production configuration, not a shrunken test net.
-  nn::FrameClassifier classifier;
-  if (!classifier.Fit(scene.video.frames, scene.truth, 4).ok()) {
-    ReportScenarioFailure("int8_inference", "classifier fit failed");
-    return {};
-  }
-
-  Int8InferenceRow row;
-  const nn::Network& net = classifier.network();
-  const nn::Tensor input = classifier.InputTensor(scene.video.frames.front());
-  (void)net.Forward(input, nn::Precision::kFp32);  // warm-up: scratch buffers
-  (void)net.Forward(input, nn::Precision::kInt8);
-  const int laps = 20;
-  Stopwatch watch;
-  for (int i = 0; i < laps; ++i) (void)net.Forward(input, nn::Precision::kFp32);
-  row.fp32_forward_ms = watch.ElapsedSeconds() * 1e3 / laps;
-  watch.Start();
-  for (int i = 0; i < laps; ++i) (void)net.Forward(input, nn::Precision::kInt8);
-  row.int8_forward_ms = watch.ElapsedSeconds() * 1e3 / laps;
-  row.speedup = Ratio(row.fp32_forward_ms, row.int8_forward_ms);
-
-  std::size_t agree = 0, decidable_agree = 0;
-  bool flips_below_floor = true;
-  for (const auto& frame : scene.video.frames) {
-    const std::vector<float> embedding =
-        classifier.Embed(frame, nn::Precision::kFp32);
-    const auto fp32 = classifier.PredictFromEmbedding(embedding);
-    const auto int8 = classifier.Predict(frame, nn::Precision::kInt8);
-    if (!fp32.ok() || !int8.ok()) {
-      ReportScenarioFailure("int8_inference", "prediction failed");
-      return row;
-    }
-    const double margin = classifier.PredictionMargin(embedding);
-    const bool same = fp32->bits() == int8->bits();
-    ++row.frames;
-    if (same) ++agree;
-    if (margin > kNoiseFloor) {
-      ++row.decidable;
-      if (same) ++decidable_agree;
-    }
-    if (!same) {
-      row.worst_flip_margin = std::max(row.worst_flip_margin, margin);
-      flips_below_floor = flips_below_floor && margin <= kNoiseFloor;
-    }
-  }
-  row.agreement_raw = Ratio(double(agree), double(row.frames));
-  row.agreement_decidable =
-      Ratio(double(decidable_agree), double(row.decidable));
-  row.agreement_ok = row.decidable > 0 && flips_below_floor &&
-                     row.agreement_decidable >= 0.99 &&
-                     row.agreement_raw >= 0.9;
-  if (!row.agreement_ok) {
-    ReportScenarioFailure("int8_inference",
-                          "int8/fp32 agreement contract violated");
-  }
-  return row;
-}
-
 // ------------------------------------------------------ pipelined encode --
 
 struct PipelinedEncodeRow {
@@ -2010,18 +1916,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const Int8InferenceRow int8 =
-      Enabled("int8_inference") ? BenchInt8Inference() : Int8InferenceRow{};
-  if (Enabled("int8_inference")) {
-    std::printf("int8_inference: forward %.2f -> %.2f ms (%.2fx) | agreement "
-                "raw %.1f%% decidable %.1f%% (%zu/%zu frames decidable) | "
-                "worst flip margin %.4f | contract: %s\n",
-                int8.fp32_forward_ms, int8.int8_forward_ms, int8.speedup,
-                int8.agreement_raw * 100.0, int8.agreement_decidable * 100.0,
-                int8.decidable, int8.frames, int8.worst_flip_margin,
-                int8.agreement_ok ? "ok" : "VIOLATED");
-  }
-
   const PipelinedEncodeRow piped = Enabled("pipelined_encode")
                                        ? BenchPipelinedEncode(parallel_threads)
                                        : PipelinedEncodeRow{};
@@ -2254,18 +2148,6 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "\n    ]\n"
                "  },\n"
-               "  \"int8_inference\": {\n"
-               "    \"fp32_forward_ms\": %.3f,\n"
-               "    \"int8_forward_ms\": %.3f,\n"
-               "    \"speedup\": %.3f,\n"
-               "    \"frames\": %zu,\n"
-               "    \"decidable_frames\": %zu,\n"
-               "    \"agreement_raw\": %.4f,\n"
-               "    \"agreement_decidable\": %.4f,\n"
-               "    \"worst_flip_margin\": %.4f,\n"
-               "    \"noise_floor\": 0.02,\n"
-               "    \"agreement_ok\": %s\n"
-               "  },\n"
                "  \"pipelined_encode\": {\n"
                "    \"frames\": %zu,\n"
                "    \"parallel_fps\": %.2f,\n"
@@ -2298,12 +2180,8 @@ int main(int argc, char** argv) {
                "    \"publish_flat_ratio\": %.3f\n"
                "  }\n"
                "}\n",
-               int8.fp32_forward_ms, int8.int8_forward_ms, int8.speedup,
-               int8.frames, int8.decidable, int8.agreement_raw,
-               int8.agreement_decidable, int8.worst_flip_margin,
-               int8.agreement_ok ? "true" : "false", piped.frames,
-               piped.parallel_fps, piped.pipelined_fps, piped.speedup,
-               piped.multicore ? "true" : "false",
+               piped.frames, piped.parallel_fps, piped.pipelined_fps,
+               piped.speedup, piped.multicore ? "true" : "false",
                piped.bit_identical ? "true" : "false", trace.frames,
                trace.untraced_s, trace.traced_s, trace.overhead_pct,
                static_cast<unsigned long long>(trace.events),

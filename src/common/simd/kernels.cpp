@@ -143,44 +143,6 @@ void Dequantize8x8Scalar(const std::int32_t* in, const std::int32_t* step,
   }
 }
 
-// ------------------------------------------------------ scalar int8 GEMM --
-
-// The reference semantics for gemm_u8s8. The inner loops walk the packed-B
-// layout (k-pairs outer, columns inner) exactly like the SIMD tables;
-// integer accumulation is associative for these magnitudes, so any table
-// order (including the vector tables' 4-row M tiling) is bit-identical
-// anyway.
-void GemmU8S8Scalar(const std::uint8_t* a, int lda, int m,
-                    const std::int8_t* b_packed, int k, int n_cols,
-                    std::int32_t* out, int ldo) {
-  const int pairs = (k + 1) / 2;
-  for (int i = 0; i < m; ++i) {
-    const std::uint8_t* arow = a + std::ptrdiff_t(i) * lda;
-    std::int32_t* orow = out + std::ptrdiff_t(i) * ldo;
-    for (int n = 0; n < n_cols; ++n) orow[n] = 0;
-    for (int p = 0; p < pairs; ++p) {
-      const std::int32_t a0 = arow[2 * p];
-      const std::int32_t a1 = (2 * p + 1 < k) ? arow[2 * p + 1] : 0;
-      const std::int8_t* row = b_packed + std::ptrdiff_t(p) * n_cols * 2;
-      for (int n = 0; n < n_cols; ++n) {
-        orow[n] += a0 * std::int32_t(row[2 * n]) +
-                   a1 * std::int32_t(row[2 * n + 1]);
-      }
-    }
-  }
-}
-
-// Reference semantics for quantize_act_u8: one IEEE multiply, one IEEE add,
-// a truncating float->int convert, then the [0, 255] clamp. The vector
-// tables run the identical op sequence per lane.
-void QuantizeActU8Scalar(const float* x, std::size_t len, float inv_scale,
-                         float bias, std::uint8_t* out) {
-  for (std::size_t i = 0; i < len; ++i) {
-    const std::int32_t code = std::int32_t(x[i] * inv_scale + bias);
-    out[i] = std::uint8_t(code < 0 ? 0 : (code > 255 ? 255 : code));
-  }
-}
-
 }  // namespace
 
 // ------------------------------------------------------ scalar fp32 GEMM --
@@ -257,7 +219,6 @@ namespace {
 const KernelTable kScalarTable = {
     "scalar",        SadRowScalar,      Sad16xHScalar,      SadBoundedScalar,
     Fdct8x8Scalar,   Idct8x8Scalar,     Quantize8x8Scalar,  Dequantize8x8Scalar,
-    GemmU8S8Scalar,  QuantizeActU8Scalar,
     GemmF32Scalar,   ScaleShiftRowsF32Scalar, LeakyReluF32Scalar,
     MaxPoolF32Scalar,
 };
@@ -283,23 +244,6 @@ bool CpuSupportsAvx2() noexcept {
 std::atomic<const KernelTable*> g_active{nullptr};
 
 }  // namespace
-
-std::size_t PackedGemmBSize(int k, int n_cols) noexcept {
-  return std::size_t((k + 1) / 2) * std::size_t(n_cols) * 2;
-}
-
-void PackGemmB(const std::int8_t* b, int k, int n_cols,
-               std::int8_t* packed) noexcept {
-  const int pairs = (k + 1) / 2;
-  for (int p = 0; p < pairs; ++p) {
-    std::int8_t* row = packed + std::ptrdiff_t(p) * n_cols * 2;
-    for (int n = 0; n < n_cols; ++n) {
-      row[2 * n] = b[std::ptrdiff_t(n) * k + 2 * p];
-      row[2 * n + 1] =
-          (2 * p + 1 < k) ? b[std::ptrdiff_t(n) * k + 2 * p + 1] : 0;
-    }
-  }
-}
 
 const char* KernelArchName(KernelArch arch) noexcept {
   switch (arch) {

@@ -1,7 +1,7 @@
 // SIMD kernel layer: runtime-dispatched implementations of the library's
 // innermost loops — the codec's block SAD and 8x8 DCT/IDCT + quantizer pair,
 // and the inference engine's fp32 GEMM, conv epilogue (bias, BatchNorm,
-// LeakyRelu) and max pooling, plus the int8 GEMM and activation quantizer.
+// LeakyRelu) and max pooling.
 //
 // Design rules (the whole point of this layer):
 //
@@ -78,32 +78,6 @@ struct KernelTable {
   void (*dequantize8x8)(const std::int32_t* in, const std::int32_t* step,
                         float* out);
 
-  /// Quantized GEMM microkernel: for each row i in [0, m),
-  /// out[i*ldo + n] = sum_{p<k} int32(a[i*lda + p]) * int32(b[p][n]) for n
-  /// in [0, n_cols). `a` holds m rows of k unsigned-8-bit quantized
-  /// activations with row stride `lda`; `b_packed` holds signed-8-bit
-  /// weights in the k-pair interleaved layout produced by PackGemmB. The
-  /// vector tables tile m (4 rows per B-panel pass) so the weight panel is
-  /// loaded once per tile instead of once per row — that, not the 8-bit
-  /// multiplies alone, is where the int8 speedup over fp32 comes from. All
-  /// arithmetic is exact 32-bit integer math (no saturating widening
-  /// multiplies), so every table returns identical accumulators regardless
-  /// of tiling. Safe for k <= 2^16 (the worst case 255 * 128 * 2^16 stays
-  /// inside int32).
-  void (*gemm_u8s8)(const std::uint8_t* a, int lda, int m,
-                    const std::int8_t* b_packed, int k, int n_cols,
-                    std::int32_t* out, int ldo);
-
-  /// Activation quantizer: out[i] = clamp(trunc(x[i] * inv_scale + bias),
-  /// 0, 255) where bias = zero_point + 0.5 — i.e. round half up for the
-  /// values that survive the clamp (truncation equals floor once the value
-  /// is >= 0, and every negative value clamps to 0 either way). The
-  /// multiply and add are single IEEE float ops and the truncating convert
-  /// is the same cvtt on every lane width, so all tables produce identical
-  /// codes. Inputs must be finite.
-  void (*quantize_act_u8)(const float* x, std::size_t len, float inv_scale,
-                          float bias, std::uint8_t* out);
-
   // fp32 inference. Each output is produced by the same sequence of single
   // IEEE operations in every table, so the active table never changes an
   // embedding bit.
@@ -162,18 +136,6 @@ const KernelTable& KernelsFor(KernelArch arch) noexcept;
 
 /// All architectures compiled into this binary (always includes kScalar).
 std::vector<KernelArch> CompiledArches();
-
-/// Element count of the packed B buffer gemm_u8s8 consumes for a k × n_cols
-/// weight matrix: ((k + 1) / 2) * n_cols * 2 (odd k is zero-padded).
-std::size_t PackedGemmBSize(int k, int n_cols) noexcept;
-
-/// Packs a row-major [n_cols][k] signed-int8 weight matrix (b[n * k + p] is
-/// output column n, reduction index p) into the k-pair interleaved layout
-/// gemm_u8s8 consumes: packed[(p2 * n_cols + n) * 2 + j] = b[n][2*p2 + j],
-/// with the odd tail element zero-padded. `packed` must hold
-/// PackedGemmBSize(k, n_cols) elements.
-void PackGemmB(const std::int8_t* b, int k, int n_cols,
-               std::int8_t* packed) noexcept;
 
 /// Parses the SIEVE_KERNEL_ARCH environment override
 /// ("scalar"|"sse2"|"avx2"|"neon"). Returns true and writes `*out` when the

@@ -10,8 +10,6 @@
 //    -ffp-contract=off like the others, and none is written by hand).
 //  * Rounding replicates std::lround via the same truncate + exact-fraction
 //    compare as the SSE2 LroundPs, on 8 lanes.
-//  * The int8 GEMM widens u8/s8 operands to i16 and uses _mm256_madd_epi16
-//    (exact for these magnitudes) — never the saturating vpmaddubsw.
 //  * The fp32 GEMM keeps a 4x16 output tile in eight ymm accumulators and
 //    adds one _mm256_mul_ps product per k step to each, k ascending — the
 //    scalar reference's operation sequence per output, 8 outputs per lane
@@ -23,7 +21,6 @@
 #include "common/simd/kernels_internal.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
 #if defined(__AVX2__)
@@ -228,256 +225,6 @@ void Dequantize8x8Avx2(const std::int32_t* in, const std::int32_t* step,
   }
 }
 
-// -------------------------------------------------------------- int8 GEMM --
-
-// The inner product walks packed-B pairs with _mm256_madd_epi16:
-// a0*b[n][2p] + a1*b[n][2p+1] per i32 lane, exactly (products are at most
-// 255 * 128 — nowhere near i16 saturation). The activation pair for each
-// row is pre-widened to adjacent i16s so the broadcast is one vpbroadcastd
-// from memory instead of a byte-assembled immediate — with four rows per
-// B-panel pass that broadcast was the hot loop's dominant cost.
-
-// Pairs per widened-A stack chunk; k longer than 2 * kChunkPairs is
-// processed in chunks with the partial products accumulated through `out`
-// (exact: integer adds in any grouping).
-constexpr int kChunkPairs = 1024;
-
-// Widens `pc` pairs of row `arow` starting at pair p0 into i16s,
-// zero-padding past the end of the row (the odd-k tail).
-inline void WidenRowAvx2(const std::uint8_t* arow, int p0, int pc, int k,
-                         std::int16_t* aw) {
-  const int base = 2 * p0;
-  const int avail = k - base < 2 * pc ? k - base : 2 * pc;
-  int j = 0;
-  for (; j + 16 <= avail; j += 16) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(arow + base + j));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(aw + j),
-                        _mm256_cvtepu8_epi16(v));
-  }
-  for (; j < avail; ++j) aw[j] = arow[base + j];
-  for (; j < 2 * pc; ++j) aw[j] = 0;
-}
-
-// One vpbroadcastd of the widened pair p: a0 in the low i16 of every i32
-// lane, a1 in the high.
-inline __m256i BcastPairAvx2(const std::int16_t* aw, int p) {
-  std::int32_t v;
-  std::memcpy(&v, aw + 2 * p, sizeof(v));
-  return _mm256_set1_epi32(v);
-}
-
-// One row x one packed-B chunk of `pc` pairs. `first` selects store vs
-// accumulate into `out`.
-void GemmU8S8Row1ChunkAvx2(const std::int16_t* aw, int pc,
-                           const std::int8_t* b_chunk, int n_cols,
-                           std::int32_t* out, bool first) {
-  int n = 0;
-  for (; n + 16 <= n_cols; n += 16) {
-    __m256i acc_lo = _mm256_setzero_si256();  // columns n .. n+7
-    __m256i acc_hi = _mm256_setzero_si256();  // columns n+8 .. n+15
-    for (int p = 0; p < pc; ++p) {
-      const __m256i av = BcastPairAvx2(aw, p);
-      const std::int8_t* row =
-          b_chunk + std::ptrdiff_t(p) * n_cols * 2 + std::ptrdiff_t(n) * 2;
-      const __m128i b8_lo =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(row));
-      const __m128i b8_hi =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + 16));
-      acc_lo = _mm256_add_epi32(
-          acc_lo, _mm256_madd_epi16(av, _mm256_cvtepi8_epi16(b8_lo)));
-      acc_hi = _mm256_add_epi32(
-          acc_hi, _mm256_madd_epi16(av, _mm256_cvtepi8_epi16(b8_hi)));
-    }
-    __m256i* o_lo = reinterpret_cast<__m256i*>(out + n);
-    __m256i* o_hi = reinterpret_cast<__m256i*>(out + n + 8);
-    if (!first) {
-      acc_lo = _mm256_add_epi32(acc_lo, _mm256_loadu_si256(o_lo));
-      acc_hi = _mm256_add_epi32(acc_hi, _mm256_loadu_si256(o_hi));
-    }
-    _mm256_storeu_si256(o_lo, acc_lo);
-    _mm256_storeu_si256(o_hi, acc_hi);
-  }
-  for (; n + 8 <= n_cols; n += 8) {
-    __m256i acc = _mm256_setzero_si256();
-    for (int p = 0; p < pc; ++p) {
-      const __m256i av = BcastPairAvx2(aw, p);
-      const std::int8_t* row =
-          b_chunk + std::ptrdiff_t(p) * n_cols * 2 + std::ptrdiff_t(n) * 2;
-      const __m128i b8 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(row));
-      acc = _mm256_add_epi32(acc,
-                             _mm256_madd_epi16(av, _mm256_cvtepi8_epi16(b8)));
-    }
-    __m256i* o = reinterpret_cast<__m256i*>(out + n);
-    if (!first) acc = _mm256_add_epi32(acc, _mm256_loadu_si256(o));
-    _mm256_storeu_si256(o, acc);
-  }
-  for (; n < n_cols; ++n) {
-    std::int32_t acc = first ? 0 : out[n];
-    for (int p = 0; p < pc; ++p) {
-      const std::int8_t* row = b_chunk + std::ptrdiff_t(p) * n_cols * 2;
-      acc += std::int32_t(aw[2 * p]) * std::int32_t(row[2 * n]) +
-             std::int32_t(aw[2 * p + 1]) * std::int32_t(row[2 * n + 1]);
-    }
-    out[n] = acc;
-  }
-}
-
-// Four rows per B-panel pass: each sign-extended weight vector feeds four
-// madds (one per row), so B streams through the core once per 4 output
-// pixels instead of once per pixel — the panel-reuse tile that makes the
-// int8 path beat fp32 on conv layers.
-void GemmU8S8Row4ChunkAvx2(const std::int16_t* const aw[4], int pc,
-                           const std::int8_t* b_chunk, int n_cols,
-                           std::int32_t* out, int ldo, bool first) {
-  int n = 0;
-  for (; n + 16 <= n_cols; n += 16) {
-    __m256i acc0_lo = _mm256_setzero_si256(), acc0_hi = _mm256_setzero_si256();
-    __m256i acc1_lo = _mm256_setzero_si256(), acc1_hi = _mm256_setzero_si256();
-    __m256i acc2_lo = _mm256_setzero_si256(), acc2_hi = _mm256_setzero_si256();
-    __m256i acc3_lo = _mm256_setzero_si256(), acc3_hi = _mm256_setzero_si256();
-    for (int p = 0; p < pc; ++p) {
-      const std::int8_t* row =
-          b_chunk + std::ptrdiff_t(p) * n_cols * 2 + std::ptrdiff_t(n) * 2;
-      const __m256i b_lo = _mm256_cvtepi8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(row)));
-      const __m256i b_hi = _mm256_cvtepi8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + 16)));
-      const __m256i av0 = BcastPairAvx2(aw[0], p);
-      const __m256i av1 = BcastPairAvx2(aw[1], p);
-      const __m256i av2 = BcastPairAvx2(aw[2], p);
-      const __m256i av3 = BcastPairAvx2(aw[3], p);
-      acc0_lo = _mm256_add_epi32(acc0_lo, _mm256_madd_epi16(av0, b_lo));
-      acc0_hi = _mm256_add_epi32(acc0_hi, _mm256_madd_epi16(av0, b_hi));
-      acc1_lo = _mm256_add_epi32(acc1_lo, _mm256_madd_epi16(av1, b_lo));
-      acc1_hi = _mm256_add_epi32(acc1_hi, _mm256_madd_epi16(av1, b_hi));
-      acc2_lo = _mm256_add_epi32(acc2_lo, _mm256_madd_epi16(av2, b_lo));
-      acc2_hi = _mm256_add_epi32(acc2_hi, _mm256_madd_epi16(av2, b_hi));
-      acc3_lo = _mm256_add_epi32(acc3_lo, _mm256_madd_epi16(av3, b_lo));
-      acc3_hi = _mm256_add_epi32(acc3_hi, _mm256_madd_epi16(av3, b_hi));
-    }
-    __m256i accs[4][2] = {{acc0_lo, acc0_hi},
-                          {acc1_lo, acc1_hi},
-                          {acc2_lo, acc2_hi},
-                          {acc3_lo, acc3_hi}};
-    for (int r = 0; r < 4; ++r) {
-      std::int32_t* o = out + std::ptrdiff_t(r) * ldo + n;
-      __m256i lo = accs[r][0], hi = accs[r][1];
-      if (!first) {
-        lo = _mm256_add_epi32(
-            lo, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(o)));
-        hi = _mm256_add_epi32(
-            hi, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(o + 8)));
-      }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(o), lo);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(o + 8), hi);
-    }
-  }
-  for (; n + 8 <= n_cols; n += 8) {
-    __m256i accs[4] = {_mm256_setzero_si256(), _mm256_setzero_si256(),
-                       _mm256_setzero_si256(), _mm256_setzero_si256()};
-    for (int p = 0; p < pc; ++p) {
-      const std::int8_t* row =
-          b_chunk + std::ptrdiff_t(p) * n_cols * 2 + std::ptrdiff_t(n) * 2;
-      const __m256i b = _mm256_cvtepi8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(row)));
-      for (int r = 0; r < 4; ++r) {
-        accs[r] = _mm256_add_epi32(
-            accs[r], _mm256_madd_epi16(BcastPairAvx2(aw[r], p), b));
-      }
-    }
-    for (int r = 0; r < 4; ++r) {
-      std::int32_t* o = out + std::ptrdiff_t(r) * ldo + n;
-      __m256i acc = accs[r];
-      if (!first) {
-        acc = _mm256_add_epi32(
-            acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(o)));
-      }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(o), acc);
-    }
-  }
-  for (; n < n_cols; ++n) {
-    for (int r = 0; r < 4; ++r) {
-      std::int32_t acc = first ? 0 : out[std::ptrdiff_t(r) * ldo + n];
-      for (int p = 0; p < pc; ++p) {
-        const std::int8_t* row = b_chunk + std::ptrdiff_t(p) * n_cols * 2;
-        acc += std::int32_t(aw[r][2 * p]) * std::int32_t(row[2 * n]) +
-               std::int32_t(aw[r][2 * p + 1]) * std::int32_t(row[2 * n + 1]);
-      }
-      out[std::ptrdiff_t(r) * ldo + n] = acc;
-    }
-  }
-}
-
-void GemmU8S8Avx2(const std::uint8_t* a, int lda, int m,
-                  const std::int8_t* b_packed, int k, int n_cols,
-                  std::int32_t* out, int ldo) {
-  const int pairs = (k + 1) / 2;
-  alignas(32) std::int16_t aw0[2 * kChunkPairs];
-  alignas(32) std::int16_t aw1[2 * kChunkPairs];
-  alignas(32) std::int16_t aw2[2 * kChunkPairs];
-  alignas(32) std::int16_t aw3[2 * kChunkPairs];
-  const std::int16_t* const aw[4] = {aw0, aw1, aw2, aw3};
-  int i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const std::uint8_t* arow = a + std::ptrdiff_t(i) * lda;
-    for (int p0 = 0; p0 < pairs; p0 += kChunkPairs) {
-      const int pc = pairs - p0 < kChunkPairs ? pairs - p0 : kChunkPairs;
-      WidenRowAvx2(arow, p0, pc, k, aw0);
-      WidenRowAvx2(arow + lda, p0, pc, k, aw1);
-      WidenRowAvx2(arow + 2 * std::ptrdiff_t(lda), p0, pc, k, aw2);
-      WidenRowAvx2(arow + 3 * std::ptrdiff_t(lda), p0, pc, k, aw3);
-      GemmU8S8Row4ChunkAvx2(aw, pc,
-                            b_packed + std::ptrdiff_t(p0) * n_cols * 2,
-                            n_cols, out + std::ptrdiff_t(i) * ldo, ldo,
-                            p0 == 0);
-    }
-  }
-  for (; i < m; ++i) {
-    const std::uint8_t* arow = a + std::ptrdiff_t(i) * lda;
-    for (int p0 = 0; p0 < pairs; p0 += kChunkPairs) {
-      const int pc = pairs - p0 < kChunkPairs ? pairs - p0 : kChunkPairs;
-      WidenRowAvx2(arow, p0, pc, k, aw0);
-      GemmU8S8Row1ChunkAvx2(aw0, pc,
-                            b_packed + std::ptrdiff_t(p0) * n_cols * 2,
-                            n_cols, out + std::ptrdiff_t(i) * ldo, p0 == 0);
-    }
-  }
-}
-
-// --------------------------------------------------- activation quantizer --
-
-// 32 codes per step: four 8-lane mul/add/cvtt rounds, i32 -> i16 saturating
-// packs, i16 -> u8 unsigned-saturating pack (exactly the scalar clamp), and
-// a cross-lane permute to undo the 128-bit-lane interleave of the packs.
-void QuantizeActU8Avx2(const float* x, std::size_t len, float inv_scale,
-                       float bias, std::uint8_t* out) {
-  const __m256 vi = _mm256_set1_ps(inv_scale);
-  const __m256 vb = _mm256_set1_ps(bias);
-  const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-  std::size_t i = 0;
-  for (; i + 32 <= len; i += 32) {
-    const __m256i c0 = _mm256_cvttps_epi32(
-        _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(x + i), vi), vb));
-    const __m256i c1 = _mm256_cvttps_epi32(
-        _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(x + i + 8), vi), vb));
-    const __m256i c2 = _mm256_cvttps_epi32(
-        _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(x + i + 16), vi), vb));
-    const __m256i c3 = _mm256_cvttps_epi32(
-        _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(x + i + 24), vi), vb));
-    const __m256i p01 = _mm256_packs_epi32(c0, c1);
-    const __m256i p23 = _mm256_packs_epi32(c2, c3);
-    const __m256i b8 = _mm256_permutevar8x32_epi32(
-        _mm256_packus_epi16(p01, p23), order);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), b8);
-  }
-  for (; i < len; ++i) {
-    const std::int32_t code = std::int32_t(x[i] * inv_scale + bias);
-    out[i] = std::uint8_t(code < 0 ? 0 : (code > 255 ? 255 : code));
-  }
-}
-
 // ------------------------------------------------------------- fp32 GEMM --
 
 // MR rows x 8*NV columns of C over K panel [p0, p1): each ymm accumulator
@@ -660,7 +407,6 @@ void MaxPoolF32Avx2(const float* in, int channels, int h, int w, int size,
 const KernelTable kAvx2Table = {
     "avx2",        SadRowAvx2,      Sad16xHAvx2,      SadBoundedAvx2,
     Fdct8x8Avx2,   Idct8x8Avx2,     Quantize8x8Avx2,  Dequantize8x8Avx2,
-    GemmU8S8Avx2,  QuantizeActU8Avx2,
     GemmF32Avx2,   ScaleShiftRowsF32Avx2, LeakyReluF32Avx2, MaxPoolF32Avx2,
 };
 

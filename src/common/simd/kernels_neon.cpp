@@ -196,154 +196,9 @@ void Dequantize8x8Neon(const std::int32_t* in, const std::int32_t* step,
   }
 }
 
-// -------------------------------------------------------------- int8 GEMM --
-
-// 8 output columns per step. vld2_s8 deinterleaves a packed-B row into the
-// even-k and odd-k weight vectors; vmlal_n_s16 is an exact integer
-// widening multiply-accumulate (the float no-fma rule does not apply to
-// integer lanes), so the accumulators match the scalar reference bit for
-// bit.
-void GemmU8S8Row1Neon(const std::uint8_t* a, const std::int8_t* b_packed,
-                      int k, int n_cols, std::int32_t* out) {
-  const int pairs = (k + 1) / 2;
-  int n = 0;
-  for (; n + 8 <= n_cols; n += 8) {
-    int32x4_t acc_lo = vdupq_n_s32(0);  // columns n .. n+3
-    int32x4_t acc_hi = vdupq_n_s32(0);  // columns n+4 .. n+7
-    for (int p = 0; p < pairs; ++p) {
-      const std::int16_t a0 = std::int16_t(a[2 * p]);
-      const std::int16_t a1 =
-          (2 * p + 1 < k) ? std::int16_t(a[2 * p + 1]) : std::int16_t(0);
-      const std::int8_t* row =
-          b_packed + std::ptrdiff_t(p) * n_cols * 2 + std::ptrdiff_t(n) * 2;
-      const int8x8x2_t de = vld2_s8(row);
-      const int16x8_t b0 = vmovl_s8(de.val[0]);  // k = 2p weights, 8 columns
-      const int16x8_t b1 = vmovl_s8(de.val[1]);  // k = 2p+1 weights
-      acc_lo = vmlal_n_s16(acc_lo, vget_low_s16(b0), a0);
-      acc_lo = vmlal_n_s16(acc_lo, vget_low_s16(b1), a1);
-      acc_hi = vmlal_n_s16(acc_hi, vget_high_s16(b0), a0);
-      acc_hi = vmlal_n_s16(acc_hi, vget_high_s16(b1), a1);
-    }
-    vst1q_s32(out + n, acc_lo);
-    vst1q_s32(out + n + 4, acc_hi);
-  }
-  for (; n < n_cols; ++n) {
-    std::int32_t acc = 0;
-    for (int p = 0; p < pairs; ++p) {
-      const std::int32_t a0 = a[2 * p];
-      const std::int32_t a1 = (2 * p + 1 < k) ? a[2 * p + 1] : 0;
-      const std::int8_t* row = b_packed + std::ptrdiff_t(p) * n_cols * 2;
-      acc += a0 * std::int32_t(row[2 * n]) +
-             a1 * std::int32_t(row[2 * n + 1]);
-    }
-    out[n] = acc;
-  }
-}
-
-// Two rows per B-panel pass (NEON's 32 vector registers would fit more, but
-// two already halves the deinterleave/widen work per output pixel, which is
-// the expensive part here). Integer lanes are exact, so the tiling cannot
-// change the accumulators.
-void GemmU8S8Row2Neon(const std::uint8_t* a, int lda,
-                      const std::int8_t* b_packed, int k, int n_cols,
-                      std::int32_t* out, int ldo) {
-  const int pairs = (k + 1) / 2;
-  const std::uint8_t* a0 = a;
-  const std::uint8_t* a1 = a + lda;
-  int n = 0;
-  for (; n + 8 <= n_cols; n += 8) {
-    int32x4_t acc0_lo = vdupq_n_s32(0), acc0_hi = vdupq_n_s32(0);
-    int32x4_t acc1_lo = vdupq_n_s32(0), acc1_hi = vdupq_n_s32(0);
-    for (int p = 0; p < pairs; ++p) {
-      const int ok = 2 * p + 1 < k;
-      const std::int16_t a0e = std::int16_t(a0[2 * p]);
-      const std::int16_t a0o = ok ? std::int16_t(a0[2 * p + 1]) : 0;
-      const std::int16_t a1e = std::int16_t(a1[2 * p]);
-      const std::int16_t a1o = ok ? std::int16_t(a1[2 * p + 1]) : 0;
-      const std::int8_t* row =
-          b_packed + std::ptrdiff_t(p) * n_cols * 2 + std::ptrdiff_t(n) * 2;
-      const int8x8x2_t de = vld2_s8(row);
-      const int16x8_t b0 = vmovl_s8(de.val[0]);
-      const int16x8_t b1 = vmovl_s8(de.val[1]);
-      acc0_lo = vmlal_n_s16(acc0_lo, vget_low_s16(b0), a0e);
-      acc0_lo = vmlal_n_s16(acc0_lo, vget_low_s16(b1), a0o);
-      acc0_hi = vmlal_n_s16(acc0_hi, vget_high_s16(b0), a0e);
-      acc0_hi = vmlal_n_s16(acc0_hi, vget_high_s16(b1), a0o);
-      acc1_lo = vmlal_n_s16(acc1_lo, vget_low_s16(b0), a1e);
-      acc1_lo = vmlal_n_s16(acc1_lo, vget_low_s16(b1), a1o);
-      acc1_hi = vmlal_n_s16(acc1_hi, vget_high_s16(b0), a1e);
-      acc1_hi = vmlal_n_s16(acc1_hi, vget_high_s16(b1), a1o);
-    }
-    vst1q_s32(out + n, acc0_lo);
-    vst1q_s32(out + n + 4, acc0_hi);
-    vst1q_s32(out + ldo + n, acc1_lo);
-    vst1q_s32(out + ldo + n + 4, acc1_hi);
-  }
-  for (; n < n_cols; ++n) {
-    const std::uint8_t* rows[2] = {a0, a1};
-    for (int r = 0; r < 2; ++r) {
-      std::int32_t acc = 0;
-      for (int p = 0; p < pairs; ++p) {
-        const std::int32_t v0 = rows[r][2 * p];
-        const std::int32_t v1 = (2 * p + 1 < k) ? rows[r][2 * p + 1] : 0;
-        const std::int8_t* row = b_packed + std::ptrdiff_t(p) * n_cols * 2;
-        acc += v0 * std::int32_t(row[2 * n]) +
-               v1 * std::int32_t(row[2 * n + 1]);
-      }
-      out[std::ptrdiff_t(r) * ldo + n] = acc;
-    }
-  }
-}
-
-void GemmU8S8Neon(const std::uint8_t* a, int lda, int m,
-                  const std::int8_t* b_packed, int k, int n_cols,
-                  std::int32_t* out, int ldo) {
-  int i = 0;
-  for (; i + 2 <= m; i += 2) {
-    GemmU8S8Row2Neon(a + std::ptrdiff_t(i) * lda, lda, b_packed, k, n_cols,
-                     out + std::ptrdiff_t(i) * ldo, ldo);
-  }
-  for (; i < m; ++i) {
-    GemmU8S8Row1Neon(a + std::ptrdiff_t(i) * lda, b_packed, k, n_cols,
-                     out + std::ptrdiff_t(i) * ldo);
-  }
-}
-
-// ---------------------------------------------------- activation quantizer --
-
-// 16 codes per step: four 4-lane mul/add/truncating-convert rounds
-// (vcvtq_s32_f32 truncates toward zero like the scalar cast), saturating
-// narrows s32 -> s16 -> u8 — exactly the scalar clamp.
-void QuantizeActU8Neon(const float* x, std::size_t len, float inv_scale,
-                       float bias, std::uint8_t* out) {
-  const float32x4_t vi = vdupq_n_f32(inv_scale);
-  const float32x4_t vb = vdupq_n_f32(bias);
-  std::size_t i = 0;
-  for (; i + 16 <= len; i += 16) {
-    // Separate mul/add (not vmla): the scalar reference rounds between the
-    // multiply and the add, and vmla may lower to a fused fmla.
-    const int32x4_t c0 =
-        vcvtq_s32_f32(vaddq_f32(vmulq_f32(vld1q_f32(x + i), vi), vb));
-    const int32x4_t c1 =
-        vcvtq_s32_f32(vaddq_f32(vmulq_f32(vld1q_f32(x + i + 4), vi), vb));
-    const int32x4_t c2 =
-        vcvtq_s32_f32(vaddq_f32(vmulq_f32(vld1q_f32(x + i + 8), vi), vb));
-    const int32x4_t c3 =
-        vcvtq_s32_f32(vaddq_f32(vmulq_f32(vld1q_f32(x + i + 12), vi), vb));
-    const int16x8_t p01 = vcombine_s16(vqmovn_s32(c0), vqmovn_s32(c1));
-    const int16x8_t p23 = vcombine_s16(vqmovn_s32(c2), vqmovn_s32(c3));
-    vst1q_u8(out + i, vcombine_u8(vqmovun_s16(p01), vqmovun_s16(p23)));
-  }
-  for (; i < len; ++i) {
-    const std::int32_t code = std::int32_t(x[i] * inv_scale + bias);
-    out[i] = std::uint8_t(code < 0 ? 0 : (code > 255 ? 255 : code));
-  }
-}
-
 const KernelTable kNeonTable = {
     "neon",        SadRowNeon,      Sad16xHNeon,      SadBoundedNeon,
     Fdct8x8Neon,   Idct8x8Neon,     Quantize8x8Neon,  Dequantize8x8Neon,
-    GemmU8S8Neon,  QuantizeActU8Neon,
     GemmF32Scalar, ScaleShiftRowsF32Scalar, LeakyReluF32Scalar,
     MaxPoolF32Scalar,
 };

@@ -205,169 +205,6 @@ void Dequantize8x8Sse2(const std::int32_t* in, const std::int32_t* step,
   }
 }
 
-// -------------------------------------------------------------- int8 GEMM --
-
-// 8 output columns per step over the packed-B pairs. The activation pair is
-// broadcast as one i32 lane pair [a0, a1] (u8 values are exact in i16) and
-// _mm_madd_epi16 computes a0*b[n][2p] + a1*b[n][2p+1] per i32 lane — exact:
-// the products are at most 255 * 128, far from the i16 saturation edge that
-// maddubs-style kernels hit. Sign-extension of the s8 weights uses the
-// classic unpack-with-compare idiom (SSE2 has no cvtepi8).
-void GemmU8S8Row1Sse2(const std::uint8_t* a, const std::int8_t* b_packed,
-                      int k, int n_cols, std::int32_t* out) {
-  const int pairs = (k + 1) / 2;
-  const __m128i zero = _mm_setzero_si128();
-  int n = 0;
-  for (; n + 8 <= n_cols; n += 8) {
-    __m128i acc_lo = _mm_setzero_si128();  // columns n .. n+3
-    __m128i acc_hi = _mm_setzero_si128();  // columns n+4 .. n+7
-    for (int p = 0; p < pairs; ++p) {
-      const int a0 = a[2 * p];
-      const int a1 = (2 * p + 1 < k) ? a[2 * p + 1] : 0;
-      const __m128i av = _mm_set1_epi32(a0 | (a1 << 16));
-      const std::int8_t* row =
-          b_packed + std::ptrdiff_t(p) * n_cols * 2 + std::ptrdiff_t(n) * 2;
-      const __m128i b8 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(row));
-      const __m128i sign = _mm_cmpgt_epi8(zero, b8);
-      acc_lo = _mm_add_epi32(
-          acc_lo, _mm_madd_epi16(av, _mm_unpacklo_epi8(b8, sign)));
-      acc_hi = _mm_add_epi32(
-          acc_hi, _mm_madd_epi16(av, _mm_unpackhi_epi8(b8, sign)));
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + n), acc_lo);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + n + 4), acc_hi);
-  }
-  for (; n < n_cols; ++n) {
-    std::int32_t acc = 0;
-    for (int p = 0; p < pairs; ++p) {
-      const std::int32_t a0 = a[2 * p];
-      const std::int32_t a1 = (2 * p + 1 < k) ? a[2 * p + 1] : 0;
-      const std::int8_t* row = b_packed + std::ptrdiff_t(p) * n_cols * 2;
-      acc += a0 * std::int32_t(row[2 * n]) +
-             a1 * std::int32_t(row[2 * n + 1]);
-    }
-    out[n] = acc;
-  }
-}
-
-// Four rows per B-panel pass: the unpacked weight pair feeds four madds
-// (one per row) so B streams through the core once per 4 output pixels —
-// the panel-reuse tile that makes the int8 path beat fp32 on conv layers.
-void GemmU8S8Row4Sse2(const std::uint8_t* a, int lda,
-                      const std::int8_t* b_packed, int k, int n_cols,
-                      std::int32_t* out, int ldo) {
-  const int pairs = (k + 1) / 2;
-  const __m128i zero = _mm_setzero_si128();
-  const std::uint8_t* a0 = a;
-  const std::uint8_t* a1 = a + lda;
-  const std::uint8_t* a2 = a + 2 * std::ptrdiff_t(lda);
-  const std::uint8_t* a3 = a + 3 * std::ptrdiff_t(lda);
-  int n = 0;
-  for (; n + 8 <= n_cols; n += 8) {
-    __m128i acc0_lo = _mm_setzero_si128(), acc0_hi = _mm_setzero_si128();
-    __m128i acc1_lo = _mm_setzero_si128(), acc1_hi = _mm_setzero_si128();
-    __m128i acc2_lo = _mm_setzero_si128(), acc2_hi = _mm_setzero_si128();
-    __m128i acc3_lo = _mm_setzero_si128(), acc3_hi = _mm_setzero_si128();
-    for (int p = 0; p < pairs; ++p) {
-      const int ok = 2 * p + 1 < k;
-      const std::int8_t* row =
-          b_packed + std::ptrdiff_t(p) * n_cols * 2 + std::ptrdiff_t(n) * 2;
-      const __m128i b8 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(row));
-      const __m128i sign = _mm_cmpgt_epi8(zero, b8);
-      const __m128i b_lo = _mm_unpacklo_epi8(b8, sign);
-      const __m128i b_hi = _mm_unpackhi_epi8(b8, sign);
-      const __m128i av0 =
-          _mm_set1_epi32(a0[2 * p] | ((ok ? a0[2 * p + 1] : 0) << 16));
-      const __m128i av1 =
-          _mm_set1_epi32(a1[2 * p] | ((ok ? a1[2 * p + 1] : 0) << 16));
-      const __m128i av2 =
-          _mm_set1_epi32(a2[2 * p] | ((ok ? a2[2 * p + 1] : 0) << 16));
-      const __m128i av3 =
-          _mm_set1_epi32(a3[2 * p] | ((ok ? a3[2 * p + 1] : 0) << 16));
-      acc0_lo = _mm_add_epi32(acc0_lo, _mm_madd_epi16(av0, b_lo));
-      acc0_hi = _mm_add_epi32(acc0_hi, _mm_madd_epi16(av0, b_hi));
-      acc1_lo = _mm_add_epi32(acc1_lo, _mm_madd_epi16(av1, b_lo));
-      acc1_hi = _mm_add_epi32(acc1_hi, _mm_madd_epi16(av1, b_hi));
-      acc2_lo = _mm_add_epi32(acc2_lo, _mm_madd_epi16(av2, b_lo));
-      acc2_hi = _mm_add_epi32(acc2_hi, _mm_madd_epi16(av2, b_hi));
-      acc3_lo = _mm_add_epi32(acc3_lo, _mm_madd_epi16(av3, b_lo));
-      acc3_hi = _mm_add_epi32(acc3_hi, _mm_madd_epi16(av3, b_hi));
-    }
-    std::int32_t* o = out + n;
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(o), acc0_lo);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(o + 4), acc0_hi);
-    o += ldo;
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(o), acc1_lo);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(o + 4), acc1_hi);
-    o += ldo;
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(o), acc2_lo);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(o + 4), acc2_hi);
-    o += ldo;
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(o), acc3_lo);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(o + 4), acc3_hi);
-  }
-  for (; n < n_cols; ++n) {
-    const std::uint8_t* rows[4] = {a0, a1, a2, a3};
-    for (int r = 0; r < 4; ++r) {
-      std::int32_t acc = 0;
-      for (int p = 0; p < pairs; ++p) {
-        const std::int32_t v0 = rows[r][2 * p];
-        const std::int32_t v1 = (2 * p + 1 < k) ? rows[r][2 * p + 1] : 0;
-        const std::int8_t* row = b_packed + std::ptrdiff_t(p) * n_cols * 2;
-        acc += v0 * std::int32_t(row[2 * n]) +
-               v1 * std::int32_t(row[2 * n + 1]);
-      }
-      out[std::ptrdiff_t(r) * ldo + n] = acc;
-    }
-  }
-}
-
-void GemmU8S8Sse2(const std::uint8_t* a, int lda, int m,
-                  const std::int8_t* b_packed, int k, int n_cols,
-                  std::int32_t* out, int ldo) {
-  int i = 0;
-  for (; i + 4 <= m; i += 4) {
-    GemmU8S8Row4Sse2(a + std::ptrdiff_t(i) * lda, lda, b_packed, k, n_cols,
-                     out + std::ptrdiff_t(i) * ldo, ldo);
-  }
-  for (; i < m; ++i) {
-    GemmU8S8Row1Sse2(a + std::ptrdiff_t(i) * lda, b_packed, k, n_cols,
-                     out + std::ptrdiff_t(i) * ldo);
-  }
-}
-
-// ---------------------------------------------------- activation quantizer --
-
-// 16 codes per step: four 4-lane mul/add/cvtt rounds, i32 -> i16 saturating
-// packs, then the i16 -> u8 unsigned-saturating pack (exactly the scalar
-// clamp, including the INT_MIN sentinel cvtt leaves for out-of-range
-// values).
-void QuantizeActU8Sse2(const float* x, std::size_t len, float inv_scale,
-                       float bias, std::uint8_t* out) {
-  const __m128 vi = _mm_set1_ps(inv_scale);
-  const __m128 vb = _mm_set1_ps(bias);
-  std::size_t i = 0;
-  for (; i + 16 <= len; i += 16) {
-    const __m128i c0 =
-        _mm_cvttps_epi32(_mm_add_ps(_mm_mul_ps(_mm_loadu_ps(x + i), vi), vb));
-    const __m128i c1 = _mm_cvttps_epi32(
-        _mm_add_ps(_mm_mul_ps(_mm_loadu_ps(x + i + 4), vi), vb));
-    const __m128i c2 = _mm_cvttps_epi32(
-        _mm_add_ps(_mm_mul_ps(_mm_loadu_ps(x + i + 8), vi), vb));
-    const __m128i c3 = _mm_cvttps_epi32(
-        _mm_add_ps(_mm_mul_ps(_mm_loadu_ps(x + i + 12), vi), vb));
-    const __m128i b8 = _mm_packus_epi16(_mm_packs_epi32(c0, c1),
-                                        _mm_packs_epi32(c2, c3));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), b8);
-  }
-  for (; i < len; ++i) {
-    const std::int32_t code = std::int32_t(x[i] * inv_scale + bias);
-    out[i] = std::uint8_t(code < 0 ? 0 : (code > 255 ? 255 : code));
-  }
-}
-
 // ------------------------------------------------------------- fp32 GEMM --
 
 // MR rows x 4*NV columns of C over K panel [p0, p1) (see the AVX2 twin).
@@ -533,7 +370,6 @@ void MaxPoolF32Sse2(const float* in, int channels, int h, int w, int size,
 const KernelTable kSse2Table = {
     "sse2",        SadRowSse2,      Sad16xHSse2,      SadBoundedSse2,
     Fdct8x8Sse2,   Idct8x8Sse2,     Quantize8x8Sse2,  Dequantize8x8Sse2,
-    GemmU8S8Sse2,  QuantizeActU8Sse2,
     GemmF32Sse2,   ScaleShiftRowsF32Sse2, LeakyReluF32Sse2, MaxPoolF32Sse2,
 };
 

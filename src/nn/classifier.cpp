@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <limits>
 
 #include "media/image_ops.h"
@@ -51,9 +50,8 @@ Tensor FrameClassifier::InputTensor(const media::Frame& frame) const {
   return input;
 }
 
-std::vector<float> FrameClassifier::Embed(const media::Frame& frame,
-                                          Precision precision) const {
-  return network_.Forward(InputTensor(frame), precision).values();
+std::vector<float> FrameClassifier::Embed(const media::Frame& frame) const {
+  return network_.Forward(InputTensor(frame)).values();
 }
 
 Status FrameClassifier::Fit(const std::vector<media::Frame>& frames,
@@ -102,45 +100,22 @@ Expected<synth::LabelSet> FrameClassifier::PredictFromEmbedding(
   return synth::LabelSet(best_key);
 }
 
-double FrameClassifier::PredictionMargin(
-    const std::vector<float>& embedding) const {
-  if (centroids_.empty()) return 0.0;
-  double best = std::numeric_limits<double>::max();
-  double second = std::numeric_limits<double>::max();
-  for (const auto& [key, centroid] : centroids_) {
-    const double d = SquaredDistance(embedding, centroid);
-    if (d < best) {
-      second = best;
-      best = d;
-    } else if (d < second) {
-      second = d;
-    }
-  }
-  if (second == std::numeric_limits<double>::max()) return 1.0;
-  double norm_sq = 0.0;
-  for (float v : embedding) norm_sq += double(v) * double(v);
-  const double norm = std::sqrt(norm_sq);
-  if (norm <= 0.0) return 0.0;
-  return (std::sqrt(second) - std::sqrt(best)) / (2.0 * norm);
-}
-
-Expected<synth::LabelSet> FrameClassifier::Predict(const media::Frame& frame,
-                                                   Precision precision) const {
+Expected<synth::LabelSet> FrameClassifier::Predict(
+    const media::Frame& frame) const {
   if (centroids_.empty()) {
     return Status::Precondition("Predict: classifier not fitted");
   }
-  return PredictFromEmbedding(Embed(frame, precision));
+  return PredictFromEmbedding(Embed(frame));
 }
 
 double FrameClassifier::Evaluate(const std::vector<media::Frame>& frames,
                                  const synth::GroundTruth& truth,
-                                 std::size_t stride,
-                                 Precision precision) const {
+                                 std::size_t stride) const {
   stride = std::max<std::size_t>(1, stride);
   std::size_t total = 0, correct = 0;
   for (std::size_t i = 0; i < frames.size() && i < truth.frame_count();
        i += stride) {
-    auto predicted = Predict(frames[i], precision);
+    auto predicted = Predict(frames[i]);
     if (predicted.ok() && *predicted == truth.label(i)) ++correct;
     ++total;
   }

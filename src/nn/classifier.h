@@ -44,10 +44,8 @@ class FrameClassifier {
   /// it to start a split forward pass (network().ForwardPrefix).
   Tensor InputTensor(const media::Frame& frame) const;
 
-  /// Embed one frame (resize + YUV->3-channel float + backbone). `precision`
-  /// selects the fp32 (default) or int8-quantized backbone pass.
-  std::vector<float> Embed(const media::Frame& frame,
-                           Precision precision = Precision::kFp32) const;
+  /// Embed one frame (resize + YUV->3-channel float + backbone).
+  std::vector<float> Embed(const media::Frame& frame) const;
 
   /// The centroid match alone: label set nearest to an already-computed
   /// embedding. Predict(frame) == PredictFromEmbedding(Embed(frame)); the
@@ -56,32 +54,14 @@ class FrameClassifier {
   Expected<synth::LabelSet> PredictFromEmbedding(
       const std::vector<float>& embedding) const;
 
-  /// How decisively the centroid match would classify `embedding`: the
-  /// euclidean gap between the second-nearest and nearest centroid,
-  /// normalized by twice the embedding norm — (d2 - d1) / (2 * ||e||).
-  /// Normalizing by ||e|| (not by the distances) makes the margin directly
-  /// comparable to the *relative embedding error* of quantized inference: a
-  /// perturbation of relative size r moves each distance by at most
-  /// r * ||e||, so the nearest centroid can only change when r >= margin.
-  /// Frames below the int8 noise floor (~1-2% relative error, see
-  /// docs/perf.md) can legitimately flip between precisions; the int8
-  /// agreement gates (tests, bench) therefore measure agreement over frames
-  /// whose fp32 margin clears the floor, and report the raw number
-  /// alongside. Returns 0 when unfitted, 1 with a single centroid.
-  double PredictionMargin(const std::vector<float>& embedding) const;
-
   /// Calibrate centroids from labelled frames. `stride` subsamples the
   /// training video (every stride-th frame) to bound calibration cost.
   Status Fit(const std::vector<media::Frame>& frames,
              const synth::GroundTruth& truth, std::size_t stride = 10);
 
   /// Predict the label set of a frame (empty LabelSet when the scene is
-  /// empty). Requires Fit() first. Centroids are always calibrated at fp32
-  /// (Fit); an int8 Predict matches its embedding against the same
-  /// centroids, which is exactly what a mixed-precision fleet sharing one
-  /// classifier does.
-  Expected<synth::LabelSet> Predict(const media::Frame& frame,
-                                    Precision precision = Precision::kFp32) const;
+  /// empty). Requires Fit() first.
+  Expected<synth::LabelSet> Predict(const media::Frame& frame) const;
 
   bool fitted() const noexcept { return !centroids_.empty(); }
   std::size_t centroid_count() const noexcept { return centroids_.size(); }
@@ -89,8 +69,8 @@ class FrameClassifier {
 
   /// Classification accuracy over a labelled video (every stride-th frame).
   double Evaluate(const std::vector<media::Frame>& frames,
-                  const synth::GroundTruth& truth, std::size_t stride = 10,
-                  Precision precision = Precision::kFp32) const;
+                  const synth::GroundTruth& truth,
+                  std::size_t stride = 10) const;
 
  private:
   ClassifierParams params_;

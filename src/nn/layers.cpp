@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <sstream>
 
@@ -33,12 +32,6 @@ Conv2D::Conv2D(int in_channels, int out_channels, int kernel, int stride,
       bias_(std::size_t(out_channels), 0.0f) {
   HeInit(weights_, std::size_t(in_channels) * std::size_t(kernel) * std::size_t(kernel),
          rng);
-}
-
-void Conv2D::RebuildQuantizedWeights() const {
-  const int patch = in_c_ * kernel_ * kernel_;
-  qw_ = QuantizeWeightsPerChannel(weights_.data(), out_c_, patch);
-  qw_dirty_.store(false, std::memory_order_release);
 }
 
 std::string Conv2D::name() const {
@@ -119,137 +112,6 @@ Tensor Conv2D::Forward(const Tensor& input) const {
   return out;
 }
 
-void Conv2D::Im2ColU8(const std::uint8_t* qinput, const Shape& in_shape,
-                      const Shape& out_shape, std::uint8_t pad_code,
-                      std::uint8_t* cols) const {
-  const int oh = out_shape.h, ow = out_shape.w;
-  const int ih = in_shape.h, iw = in_shape.w;
-  const int k = kernel_;
-  const std::size_t patch = std::size_t(in_c_) * std::size_t(k) * std::size_t(k);
-  for (int oy = 0; oy < oh; ++oy) {
-    const int iy0 = oy * stride_ - pad_;
-    const bool y_interior = iy0 >= 0 && iy0 + k <= ih;
-    for (int ox = 0; ox < ow; ++ox) {
-      std::uint8_t* row =
-          cols + (std::size_t(oy) * std::size_t(ow) + std::size_t(ox)) * patch;
-      std::size_t idx = 0;
-      const int ix0 = ox * stride_ - pad_;
-      // Fast path for the dominant case (3x3 kernel, no padding touched):
-      // each 3-byte patch row is moved as one overlapped 4-byte copy. The
-      // spilled 4th byte is overwritten by the next patch write — the very
-      // last one lands in the one byte of slack the caller reserves past
-      // the cols buffer (pixels are filled in ascending order, so a spill
-      // into the next pixel's row is always rewritten before use). The
-      // strict ix0 + k < iw bound keeps the 4-byte *read* inside the input
-      // row.
-      if (k == 3 && y_interior && ix0 >= 0 && ix0 + k < iw) {
-        const std::uint8_t* src =
-            qinput + std::size_t(iy0) * std::size_t(iw) + std::size_t(ix0);
-        const std::size_t chan_stride = std::size_t(ih) * std::size_t(iw);
-        for (int c = 0; c < in_c_; ++c) {
-          const std::uint8_t* s = src + std::size_t(c) * chan_stride;
-          for (int ky = 0; ky < 3; ++ky) {
-            std::uint32_t v;
-            std::memcpy(&v, s, sizeof(v));
-            std::memcpy(row + idx, &v, sizeof(v));
-            idx += 3;
-            s += iw;
-          }
-        }
-        continue;
-      }
-      for (int c = 0; c < in_c_; ++c) {
-        const std::uint8_t* chan =
-            qinput + std::size_t(c) * std::size_t(ih) * std::size_t(iw);
-        for (int ky = 0; ky < k; ++ky) {
-          const int iy = oy * stride_ + ky - pad_;
-          if (iy < 0 || iy >= ih) {
-            for (int kx = 0; kx < k; ++kx) row[idx++] = pad_code;
-            continue;
-          }
-          const std::uint8_t* src = chan + std::size_t(iy) * std::size_t(iw);
-          if (ix0 >= 0 && ix0 + k <= iw) {
-            for (int kx = 0; kx < k; ++kx) row[idx++] = src[ix0 + kx];
-          } else {
-            for (int kx = 0; kx < k; ++kx) {
-              const int ix = ix0 + kx;
-              row[idx++] = (ix >= 0 && ix < iw) ? src[ix] : pad_code;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-Tensor Conv2D::ForwardInt8(const Tensor& input) const {
-  const Shape out_shape = OutputShape(input.shape());
-  const std::size_t hw =
-      std::size_t(out_shape.h) * std::size_t(out_shape.w);
-  const std::size_t patch =
-      std::size_t(in_c_) * std::size_t(kernel_) * std::size_t(kernel_);
-
-  if (qw_dirty_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(qw_mutex_);
-    if (qw_dirty_.load(std::memory_order_relaxed)) RebuildQuantizedWeights();
-  }
-
-  // Quantize the whole input once (dynamic per-tensor scale), then gather
-  // uint8 codes — padding is the zero point, which dequantizes to exactly 0.
-  const ActivationQuant aq =
-      ChooseActivationQuant(input.data(), input.size());
-  static thread_local std::vector<std::uint8_t> qinput;
-  static thread_local std::vector<std::uint8_t> qcols;
-  static thread_local std::vector<std::int32_t> acc;
-  static thread_local std::vector<float> dequant_scale;
-  static thread_local std::vector<std::int32_t> correction;
-  qinput.resize(input.size());
-  QuantizeActivations(input.data(), input.size(), aq, qinput.data());
-  // +1: Im2ColU8's overlapped 4-byte copies may spill one byte past the
-  // final patch row.
-  qcols.resize(hw * patch + 1);
-  Im2ColU8(qinput.data(), input.shape(), out_shape,
-           std::uint8_t(aq.zero_point), qcols.data());
-
-  // Hoist the per-channel dequantization constants out of the pixel loop.
-  acc.resize(hw * std::size_t(out_c_));
-  dequant_scale.resize(std::size_t(out_c_));
-  correction.resize(std::size_t(out_c_));
-  for (int o = 0; o < out_c_; ++o) {
-    dequant_scale[std::size_t(o)] = aq.scale * qw_.scales[std::size_t(o)];
-    correction[std::size_t(o)] = aq.zero_point * qw_.row_sums[std::size_t(o)];
-  }
-
-  // One GEMM over all pixels: the kernel's M tiling keeps the packed weight
-  // panel hot across rows instead of streaming it once per pixel.
-  simd::ActiveKernels().gemm_u8s8(qcols.data(), int(patch), int(hw),
-                                  qw_.packed.data(), int(patch), out_c_,
-                                  acc.data(), out_c_);
-
-  // Dequantize channel-major so the output writes are contiguous.
-  Tensor out(out_shape);
-  float* dst = out.data();
-  for (int o = 0; o < out_c_; ++o) {
-    const float ds = dequant_scale[std::size_t(o)];
-    const std::int32_t corr = correction[std::size_t(o)];
-    const float b = bias_[std::size_t(o)];
-    const std::int32_t* arow = acc.data() + o;
-    float* drow = dst + std::size_t(o) * hw;
-    for (std::size_t px = 0; px < hw; ++px) {
-      drow[px] = ds * float(arow[px * std::size_t(out_c_)] - corr) + b;
-    }
-  }
-  return out;
-}
-
-void Conv2D::ForwardInPlace(Tensor& t, Precision precision) const {
-  if (precision == Precision::kInt8) {
-    t = ForwardInt8(t);
-    return;
-  }
-  t = Forward(t);
-}
-
 std::uint64_t Conv2D::Macs(const Shape& input) const {
   const Shape out = OutputShape(input);
   return std::uint64_t(out.elements()) * std::uint64_t(in_c_) *
@@ -318,9 +180,6 @@ Linear::Linear(int in_features, int out_features, Rng& rng)
       weights_(std::size_t(in_features) * std::size_t(out_features)),
       bias_(std::size_t(out_features), 0.0f) {
   HeInit(weights_, std::size_t(in_features), rng);
-  // Weights are immutable after the seeded init, so the int8 twin can be
-  // built eagerly (it is tiny next to the float matrix).
-  qw_ = QuantizeWeightsPerChannel(weights_.data(), out_f_, in_f_);
 }
 
 std::string Linear::name() const {
@@ -346,31 +205,6 @@ Tensor Linear::Forward(const Tensor& input) const {
     out.at(o, 0, 0) = float(acc);
   }
   return out;
-}
-
-void Linear::ForwardInPlace(Tensor& t, Precision precision) const {
-  if (precision != Precision::kInt8) {
-    t = Forward(t);
-    return;
-  }
-  assert(int(t.size()) == in_f_);
-  const ActivationQuant aq = ChooseActivationQuant(t.data(), t.size());
-  static thread_local std::vector<std::uint8_t> qin;
-  static thread_local std::vector<std::int32_t> acc;
-  qin.resize(t.size());
-  QuantizeActivations(t.data(), t.size(), aq, qin.data());
-  acc.resize(std::size_t(out_f_));
-  simd::ActiveKernels().gemm_u8s8(qin.data(), in_f_, 1, qw_.packed.data(),
-                                  in_f_, out_f_, acc.data(), out_f_);
-  Tensor out(Shape{out_f_, 1, 1});
-  for (int o = 0; o < out_f_; ++o) {
-    out.at(o, 0, 0) =
-        aq.scale * qw_.scales[std::size_t(o)] *
-            float(acc[std::size_t(o)] -
-                  aq.zero_point * qw_.row_sums[std::size_t(o)]) +
-        bias_[std::size_t(o)];
-  }
-  t = std::move(out);
 }
 
 std::uint64_t Linear::Macs(const Shape&) const {

@@ -3,15 +3,11 @@
 // initializers) or folded in (BatchNorm).
 #pragma once
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "nn/precision.h"
-#include "nn/quantize.h"
 #include "nn/tensor.h"
 
 namespace sieve::nn {
@@ -29,14 +25,6 @@ class Layer {
   /// to mutate in place; the default falls back to Forward. The sequential
   /// network loop uses this entry point.
   virtual void ForwardInPlace(Tensor& t) const { t = Forward(t); }
-  /// Precision-aware forward. The default ignores the precision and runs the
-  /// fp32 path — correct for every layer without a quantized implementation
-  /// (elementwise/pooling layers run fp32 even inside an int8 pass; only the
-  /// GEMM-shaped layers — Conv2D, Linear — override this with an int8 path).
-  virtual void ForwardInPlace(Tensor& t, Precision precision) const {
-    (void)precision;
-    ForwardInPlace(t);
-  }
   /// Approximate multiply-accumulate count for one forward pass (cost model
   /// input for the partitioner and the DES calibration).
   virtual std::uint64_t Macs(const Shape& input) const = 0;
@@ -50,10 +38,8 @@ class Layer {
 ///
 /// Forward is const-thread-safe: the im2col scratch lives in a thread-local
 /// buffer (steady-state inference never allocates, and any number of
-/// threads may share one instance), and the lazily rebuilt int8 weight
-/// panel is guarded by an internal mutex. Weight *mutation*
-/// (weights()/bias()) is not synchronized — do not mutate concurrently with
-/// Forward.
+/// threads may share one instance). Weight *mutation* (weights()/bias()) is
+/// not synchronized — do not mutate concurrently with Forward.
 class Conv2D : public Layer {
  public:
   Conv2D(int in_channels, int out_channels, int kernel, int stride, int pad,
@@ -62,38 +48,14 @@ class Conv2D : public Layer {
   std::string name() const override;
   Shape OutputShape(const Shape& input) const override;
   Tensor Forward(const Tensor& input) const override;
-  using Layer::ForwardInPlace;  // keep the 1-arg fp32 overload visible
-  /// Int8 path: the input is quantized once (dynamic per-tensor scale), the
-  /// im2col gather runs on uint8 codes (padding = zero_point), and each
-  /// output pixel's channels come from one gemm_u8s8 microkernel call
-  /// against the cached per-channel-quantized weight panel. See
-  /// nn/quantize.h for the dequantization identity.
-  void ForwardInPlace(Tensor& t, Precision precision) const override;
   std::uint64_t Macs(const Shape& input) const override;
 
   int in_channels() const noexcept { return in_c_; }
   int out_channels() const noexcept { return out_c_; }
-  /// Mutable weight access invalidates the cached int8 weight panel; the
-  /// next int8 Forward re-derives it once (fp32 reads weights_ directly).
-  /// The invalidation happens at this call, so do not retain the reference
-  /// across an int8 Forward and mutate it afterwards — re-call weights() for
-  /// every round of mutation.
-  std::vector<float>& weights() noexcept {
-    qw_dirty_.store(true, std::memory_order_release);
-    return weights_;
-  }
+  std::vector<float>& weights() noexcept { return weights_; }
   std::vector<float>& bias() noexcept { return bias_; }
 
  private:
-  void RebuildQuantizedWeights() const;
-  Tensor ForwardInt8(const Tensor& input) const;
-  /// Quantized im2col twin: gathers uint8 codes from the pre-quantized
-  /// input plane, writing `zero_point` into padded positions. `cols` must
-  /// have one byte of slack past oh*ow*patch — the interior 3x3 fast path
-  /// uses overlapped 4-byte copies whose last spill byte lands there.
-  void Im2ColU8(const std::uint8_t* qinput, const Shape& in_shape,
-                const Shape& out_shape, std::uint8_t pad_code,
-                std::uint8_t* cols) const;
   /// Fill `cols` ([patch x oh*ow], row-major: one row per (channel, ky, kx)
   /// tap, one column per output pixel) with the im2col expansion of one
   /// input — the B operand of the channel-major GEMM.
@@ -102,12 +64,6 @@ class Conv2D : public Layer {
   int in_c_, out_c_, kernel_, stride_, pad_;
   std::vector<float> weights_;  ///< [out_c][in_c * k * k] row-major
   std::vector<float> bias_;     ///< [out_c]
-  // Int8 weight panel (packed for gemm_u8s8), built lazily on the first
-  // int8 forward and after weight mutation, exactly once under qw_mutex_ so
-  // concurrent const Forward calls stay safe.
-  mutable std::mutex qw_mutex_;
-  mutable QuantizedWeights qw_;
-  mutable std::atomic<bool> qw_dirty_{true};
 };
 
 /// Inference-time batch normalization: y = gamma * (x - mean)/sqrt(var+eps) + beta,
@@ -119,7 +75,6 @@ class BatchNorm : public Layer {
   std::string name() const override { return "batchnorm"; }
   Shape OutputShape(const Shape& input) const override { return input; }
   Tensor Forward(const Tensor& input) const override;
-  using Layer::ForwardInPlace;
   void ForwardInPlace(Tensor& t) const override;
   std::uint64_t Macs(const Shape& input) const override {
     return input.elements();
@@ -136,7 +91,6 @@ class LeakyRelu : public Layer {
   std::string name() const override { return "leaky_relu"; }
   Shape OutputShape(const Shape& input) const override { return input; }
   Tensor Forward(const Tensor& input) const override;
-  using Layer::ForwardInPlace;
   void ForwardInPlace(Tensor& t) const override;
   std::uint64_t Macs(const Shape& input) const override {
     return input.elements();
@@ -179,18 +133,12 @@ class Linear : public Layer {
   std::string name() const override;
   Shape OutputShape(const Shape& input) const override;
   Tensor Forward(const Tensor& input) const override;
-  using Layer::ForwardInPlace;  // keep the 1-arg fp32 overload visible
-  /// Int8 path: one gemm_u8s8 call over the quantized input vector against
-  /// the per-channel-quantized weight panel (built once at construction —
-  /// Linear weights are immutable after the seeded init).
-  void ForwardInPlace(Tensor& t, Precision precision) const override;
   std::uint64_t Macs(const Shape& input) const override;
 
  private:
   int in_f_, out_f_;
   std::vector<float> weights_;  ///< [out][in]
   std::vector<float> bias_;
-  QuantizedWeights qw_;  ///< packed int8 twin of weights_
 };
 
 class Softmax : public Layer {
@@ -198,7 +146,6 @@ class Softmax : public Layer {
   std::string name() const override { return "softmax"; }
   Shape OutputShape(const Shape& input) const override { return input; }
   Tensor Forward(const Tensor& input) const override;
-  using Layer::ForwardInPlace;
   void ForwardInPlace(Tensor& t) const override;
   std::uint64_t Macs(const Shape& input) const override {
     return input.elements() * 4;

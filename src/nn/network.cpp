@@ -6,16 +6,16 @@
 
 namespace sieve::nn {
 
-Tensor Network::Forward(const Tensor& input, Precision precision) const {
-  return ForwardRange(input, 0, layers_.size(), precision);
+Tensor Network::Forward(const Tensor& input) const {
+  return ForwardRange(input, 0, layers_.size());
 }
 
 Tensor Network::ForwardRange(const Tensor& input, std::size_t begin,
-                             std::size_t end, Precision precision) const {
+                             std::size_t end) const {
   Tensor cur = input;
   for (std::size_t i = begin; i < end && i < layers_.size(); ++i) {
     // Element-wise layers mutate cur's buffer; the rest fall back to Forward.
-    layers_[i]->ForwardInPlace(cur, precision);
+    layers_[i]->ForwardInPlace(cur);
   }
   return cur;
 }
@@ -44,8 +44,7 @@ std::vector<LayerProfile> Network::Profile() const {
   return profile;
 }
 
-std::vector<LayerProfile> Network::ProfileLayers(int iterations,
-                                                 Precision precision) const {
+std::vector<LayerProfile> Network::ProfileLayers(int iterations) const {
   std::vector<LayerProfile> profile = Profile();
   Tensor input(input_shape_);
   // Deterministic non-trivial input so timings exercise real data paths.
@@ -56,14 +55,14 @@ std::vector<LayerProfile> Network::ProfileLayers(int iterations,
   // allocation, cold caches and pages) that steady-state inference never
   // sees. Then each layer keeps its fastest timed pass: load on the box
   // only ever adds time, so the minimum is the stable estimate.
-  (void)ForwardRange(input, 0, layers_.size(), precision);
+  (void)ForwardRange(input, 0, layers_.size());
   for (int it = 0; it < iterations; ++it) {
     Tensor cur = input;
     for (std::size_t i = 0; i < layers_.size(); ++i) {
       // Time the same entry point the inference loop uses: element-wise
       // layers run in place, so their timings carry no copy overhead.
       Stopwatch watch;
-      layers_[i]->ForwardInPlace(cur, precision);
+      layers_[i]->ForwardInPlace(cur);
       const double ms = watch.ElapsedMillis();
       profile[i].measured_ms =
           it == 0 ? ms : std::min(profile[i].measured_ms, ms);

@@ -35,33 +35,28 @@ class Network {
   Shape input_shape() const noexcept { return input_shape_; }
   void set_input_shape(Shape s) noexcept { input_shape_ = s; }
 
-  /// Full forward pass. Const-thread-safe: conv scratch is thread-local and
-  /// weight caches are internally synchronized, so any number of threads may
-  /// run inference on one shared Network (the runtime's sessions all share
-  /// one classifier this way). `precision` selects fp32 (default) or the
-  /// int8 quantized path (see nn/quantize.h) for the GEMM-shaped layers.
-  Tensor Forward(const Tensor& input,
-                 Precision precision = Precision::kFp32) const;
+  /// Full forward pass. Const-thread-safe: conv scratch is thread-local, so
+  /// any number of threads may run inference on one shared Network (the
+  /// runtime's sessions all share one classifier this way).
+  Tensor Forward(const Tensor& input) const;
 
   /// Forward through layers [begin, end).
-  Tensor ForwardRange(const Tensor& input, std::size_t begin, std::size_t end,
-                      Precision precision = Precision::kFp32) const;
+  Tensor ForwardRange(const Tensor& input, std::size_t begin,
+                      std::size_t end) const;
 
   /// The edge half of a split forward pass: layers [0, split), returning the
   /// cut-point activation. split == 0 returns the input unchanged (all-cloud
   /// execution); split == LayerCount() runs the whole network at the edge.
-  Tensor ForwardPrefix(const Tensor& input, std::size_t split,
-                       Precision precision = Precision::kFp32) const {
-    return ForwardRange(input, 0, split, precision);
+  Tensor ForwardPrefix(const Tensor& input, std::size_t split) const {
+    return ForwardRange(input, 0, split);
   }
 
   /// The cloud half: layers [split, N) applied to the (possibly
   /// deserialized) cut-point activation. For every split,
   /// ForwardSuffix(ForwardPrefix(x, k), k) is bit-identical to Forward(x) —
   /// the layers run through the same in-place loop in the same order.
-  Tensor ForwardSuffix(const Tensor& activation, std::size_t split,
-                       Precision precision = Precision::kFp32) const {
-    return ForwardRange(activation, split, layers_.size(), precision);
+  Tensor ForwardSuffix(const Tensor& activation, std::size_t split) const {
+    return ForwardRange(activation, split, layers_.size());
   }
 
   /// The activation shape entering layer `split` (== input_shape() at 0,
@@ -73,14 +68,11 @@ class Network {
   /// input shape.
   std::vector<LayerProfile> Profile() const;
 
-  /// Profile + wall-clock per-layer timing at the given precision (an int8
-  /// session must be planned against int8 timings, not fp32 ones): after
-  /// one untimed warm-up pass, each layer's minimum over `iterations` timed
-  /// passes. This is the measured input the
-  /// Neurosurgeon-style planner (nn/partition.h) consumes as
-  /// PartitionInput::profile.
-  std::vector<LayerProfile> ProfileLayers(
-      int iterations = 3, Precision precision = Precision::kFp32) const;
+  /// Profile + wall-clock per-layer timing: after one untimed warm-up pass,
+  /// each layer's minimum over `iterations` timed passes. This is the
+  /// measured input the Neurosurgeon-style planner (nn/partition.h) consumes
+  /// as PartitionInput::profile.
+  std::vector<LayerProfile> ProfileLayers(int iterations = 3) const;
 
  private:
   Shape input_shape_;

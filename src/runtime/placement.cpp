@@ -55,11 +55,9 @@ PlacementPlan ResolvePlacement(PlacementMode mode,
 nn::PartitionInput MeasurePlannerInput(const nn::FrameClassifier& classifier,
                                        int nn_input_size, int still_qp,
                                        const net::LinkModel& wan,
-                                       double cloud_speedup,
-                                       nn::Precision precision) {
+                                       double cloud_speedup) {
   nn::PartitionInput input;
-  input.profile =
-      classifier.network().ProfileLayers(kPlannerProfilePasses, precision);
+  input.profile = classifier.network().ProfileLayers(kPlannerProfilePasses);
   // What split 0 actually ships: a transcoded still of the NN input frame.
   // Encode one (mid-grey + gradient, representative texture) and take its
   // real size.

@@ -23,7 +23,6 @@
 
 #include "net/link.h"
 #include "nn/partition.h"
-#include "nn/precision.h"
 
 namespace sieve::nn {
 class FrameClassifier;
@@ -64,13 +63,11 @@ PlacementPlan ResolvePlacement(PlacementMode mode,
 /// per-layer wall-clock profile plus the bytes split 0 actually ships (a
 /// transcoded still of the NN input frame, really encoded — not guessed
 /// from tensor sizes). This is the one implementation both the Runtime
-/// (kAuto opens, cached per precision) and the bench (predicted-latency
-/// columns) use, so their predictions never diverge. `precision` selects
-/// the inference mode the layers are timed at: an int8 session's split
-/// must be planned against int8 timings.
-nn::PartitionInput MeasurePlannerInput(
-    const nn::FrameClassifier& classifier, int nn_input_size, int still_qp,
-    const net::LinkModel& wan, double cloud_speedup,
-    nn::Precision precision = nn::Precision::kFp32);
+/// (kAuto opens, cached) and the bench (predicted-latency columns) use, so
+/// their predictions never diverge.
+nn::PartitionInput MeasurePlannerInput(const nn::FrameClassifier& classifier,
+                                       int nn_input_size, int still_qp,
+                                       const net::LinkModel& wan,
+                                       double cloud_speedup);
 
 }  // namespace sieve::runtime

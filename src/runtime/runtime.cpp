@@ -255,7 +255,6 @@ SessionReport SieveSession::Drain() {
   report.placement = plan->mode;
   report.nn_split = plan->split;
   report.predicted_total_ms = plan->predicted.total_ms;
-  report.precision = st.precision;
   report.wan_retries = m.wan_retries->value();
   report.wan_retransmit_bytes = st.edge_cloud_meter.retransmit_bytes();
   report.wan_corrupt_bytes = st.edge_cloud_meter.corrupt_bytes();
@@ -475,14 +474,10 @@ void Runtime::BuildTiers() {
         const nn::Tensor input = classifier_->InputTensor(
             codec::ReconstructStill(*frame, config_.still_qp));
         const std::size_t layers = classifier_->network().LayerCount();
-        // Session-fixed (unlike the split, which replans): the cloud suffix
-        // reads the same field, so both halves of a split forward always run
-        // at one precision.
-        const nn::Precision precision = session->precision;
         dataflow::FlowFile out;
         if (split >= layers) {
           auto labels = classifier_->PredictFromEmbedding(
-              classifier_->network().Forward(input, precision).values());
+              classifier_->network().Forward(input).values());
           if (!labels.ok()) {
             session->RecordOutcome(file,
                                    internal::FrameOutcome::kDroppedCorrupt);
@@ -492,7 +487,7 @@ void Runtime::BuildTiers() {
           out.SetU64("label_bits", labels->bits());
         } else {
           out.payload() = nn::SerializeTensor(
-              classifier_->network().ForwardPrefix(input, split, precision));
+              classifier_->network().ForwardPrefix(input, split));
           out.SetAttribute("kind", kKindActivation);
           out.SetU64("split", split);
         }
@@ -610,9 +605,7 @@ void Runtime::BuildTiers() {
           split = 0;
         }
         auto predicted = classifier_->PredictFromEmbedding(
-            classifier_->network()
-                .ForwardSuffix(*activation, split, session->precision)
-                .values());
+            classifier_->network().ForwardSuffix(*activation, split).values());
         if (!predicted.ok()) {
           session->RecordOutcome(file, internal::FrameOutcome::kDroppedCorrupt);
           return std::nullopt;
@@ -665,24 +658,21 @@ void Runtime::BuildTiers() {
 }
 
 nn::PartitionInput Runtime::PlannerInput(const SessionConfig& config) {
-  return PlannerInputForModel(config.wan_hint.value_or(config_.edge_to_cloud),
-                              config.precision);
+  return PlannerInputForModel(config.wan_hint.value_or(config_.edge_to_cloud));
 }
 
-nn::PartitionInput Runtime::PlannerInputForModel(const net::LinkModel& wan,
-                                                 nn::Precision precision) {
+nn::PartitionInput Runtime::PlannerInputForModel(const net::LinkModel& wan) {
   std::lock_guard<std::mutex> lock(planner_mutex_);
-  PlannerCacheEntry& entry = planner_cache_[precision];
-  if (entry.profile.empty()) {
-    nn::PartitionInput measured = MeasurePlannerInput(
-        *classifier_, config_.nn_input_size, config_.still_qp, wan,
-        config_.cloud_speedup, precision);
-    entry.profile = std::move(measured.profile);
-    entry.still_bytes = measured.input_bytes;
+  if (planner_cache_.profile.empty()) {
+    nn::PartitionInput measured =
+        MeasurePlannerInput(*classifier_, config_.nn_input_size,
+                            config_.still_qp, wan, config_.cloud_speedup);
+    planner_cache_.profile = std::move(measured.profile);
+    planner_cache_.still_bytes = measured.input_bytes;
   }
   nn::PartitionInput input;
-  input.profile = entry.profile;
-  input.input_bytes = entry.still_bytes;
+  input.profile = planner_cache_.profile;
+  input.input_bytes = planner_cache_.still_bytes;
   input.cloud_speedup = config_.cloud_speedup;
   input.bandwidth_mbps = wan.bandwidth_mbps;
   input.rtt_ms = wan.rtt_ms;
@@ -727,7 +717,7 @@ void Runtime::ApplyWanHealth(net::LinkHealth link) {
       // only move toward the edge while the WAN is lossy.
       const PlacementPlan planned = ResolvePlacement(
           PlacementMode::kAuto,
-          PlannerInputForModel(wan_.EffectiveModel(), state->precision),
+          PlannerInputForModel(wan_.EffectiveModel()),
           layers, /*fixed_split=*/0);
       next.split = std::max(state->base_plan.split, planned.split);
       next.predicted = planned.predicted;
@@ -881,7 +871,6 @@ Expected<std::unique_ptr<SieveSession>> Runtime::OpenSession(
     // Trace exports label this session's track by its route, so two
     // incarnations of one camera id stay distinguishable in the viewer.
     obs::NameTrack(state->track, route);
-    state->precision = config.precision;
     state->base_plan = plan;
     state->active_plan.store(std::make_shared<const PlacementPlan>(plan),
                              std::memory_order_release);

@@ -52,7 +52,6 @@
 #include "net/link.h"
 #include "net/transport.h"
 #include "nn/classifier.h"
-#include "nn/precision.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/service.h"
@@ -184,14 +183,6 @@ struct SessionConfig {
   /// behind a weaker uplink than RuntimeConfig::edge_to_cloud). Activation
   /// bytes still cross the runtime's shared realized WAN hop.
   std::optional<net::LinkModel> wan_hint;
-  /// Inference precision for this session's classifier work — everywhere it
-  /// runs: the edge prefix/full forward and the cloud suffix.
-  /// Fixed for the session's lifetime; the split may replan on WAN health,
-  /// the precision does not. kAuto placements are planned against per-layer
-  /// timings measured at this precision — an int8 session's split must come
-  /// from int8 numbers (see nn/precision.h and docs/perf.md for the int8
-  /// arithmetic contract).
-  nn::Precision precision = nn::Precision::kFp32;
 };
 
 /// Per-camera outcome, returned by SieveSession::Drain().
@@ -213,9 +204,6 @@ struct SessionReport {
   /// The planner's predicted end-to-end latency at the chosen split — the
   /// exact model that drove the decision. Nonzero only for kAuto sessions.
   double predicted_total_ms = 0.0;
-  /// The precision every inference for this session ran at (from
-  /// SessionConfig::precision).
-  nn::Precision precision = nn::Precision::kFp32;
 
   // --- Failure semantics (docs/runtime.md). Every pushed frame reconciles:
   //   frames_pushed == frames_stored_edge + frames_delivered + frames_dropped
@@ -333,11 +321,6 @@ struct SessionState {
   /// frame's TraceContext, so per-frame spans group per session.
   const std::uint64_t track;
   const codec::ContainerHeader header;  ///< edge decode parameters
-  /// Inference precision for every tier touching this session's frames.
-  /// Written once at OpenSession (before the state is published to the
-  /// registry) and never swapped, so stages read it without the plan-swap
-  /// barrier that splits need.
-  nn::Precision precision = nn::Precision::kFp32;
   PlacementPlan base_plan;  ///< resolved at OpenSession; restored on recovery
   /// The live plan (swapped by the runtime on WAN health transitions).
   std::atomic<std::shared_ptr<const PlacementPlan>> active_plan;
@@ -545,10 +528,8 @@ class Runtime {
   /// measured size of a transcoded still (what split 0 ships).
   nn::PartitionInput PlannerInput(const SessionConfig& config);
   /// Planner input against an explicit WAN model (replans use the measured
-  /// EffectiveModel instead of the configured one) at a given inference
-  /// precision (int8 sessions plan against int8 timings).
-  nn::PartitionInput PlannerInputForModel(const net::LinkModel& wan,
-                                          nn::Precision precision);
+  /// EffectiveModel instead of the configured one).
+  nn::PartitionInput PlannerInputForModel(const net::LinkModel& wan);
   /// Swap every open session's plan to match the given WAN health:
   /// kDown -> edge-only fallback, kDegraded -> replan against the measured
   /// link, kHealthy -> restore each session's base plan.
@@ -576,17 +557,14 @@ class Runtime {
   std::shared_ptr<query::QueryService> query_;
   Stopwatch epoch_;
 
-  // kAuto planner cache, keyed by inference precision: measuring per-layer
-  // latencies costs a few forward passes, so the first auto session at each
-  // precision pays it and the rest reuse it. Keying matters — int8 layer
-  // timings differ from fp32 by the quantized speedup, and a split planned
-  // against the wrong precision's profile would land at the wrong layer.
+  // kAuto planner cache: measuring per-layer latencies costs a few forward
+  // passes, so the first auto session pays it and the rest reuse it.
   struct PlannerCacheEntry {
     std::vector<nn::LayerProfile> profile;
     std::size_t still_bytes = 0;
   };
   std::mutex planner_mutex_;
-  std::map<nn::Precision, PlannerCacheEntry> planner_cache_;
+  PlannerCacheEntry planner_cache_;
 
   // Reader-writer registry: every stage routes every frame through
   // FindSession (shared lock), while OpenSession/Shutdown mutations are

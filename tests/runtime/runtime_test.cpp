@@ -425,55 +425,17 @@ TEST_F(RuntimeTest, ParallelTranscodePreservesResults) {
   EXPECT_EQ((*parallel_session)->db().rows(), (*serial_session)->db().rows());
 }
 
-TEST_F(RuntimeTest, Int8SessionsAgreeAcrossPlacements) {
-  // Precision is a per-session deployment mode, orthogonal to placement.
-  // Four int8 cameras — all-edge, all-cloud, a pinned intermediate split,
-  // and planner-chosen — see the same feed, so the int8 split-invariance
-  // contract (prefix+suffix == fused, bit-identical) makes all four
-  // databases identical. The kAuto session additionally exercises the
-  // precision-keyed planner cache: its split comes from int8 layer timings.
-  Runtime runtime(SmallConfig(), classifier_);
-
-  const std::vector<std::pair<std::string, PlacementMode>> cams = {
-      {"i8-edge", PlacementMode::kEdge},
-      {"i8-cloud", PlacementMode::kCloud},
-      {"i8-fixed", PlacementMode::kFixed},
-      {"i8-auto", PlacementMode::kAuto}};
-  std::vector<std::unique_ptr<SieveSession>> sessions;
-  for (const auto& [id, mode] : cams) {
-    SessionConfig cfg = SceneSession();
-    cfg.precision = nn::Precision::kInt8;
-    cfg.placement = mode;
-    cfg.fixed_split = 2;
-    auto session = runtime.OpenSession(id, cfg);
-    ASSERT_TRUE(session.ok()) << id;
-    sessions.push_back(std::move(*session));
-  }
-  for (const auto& frame : scene_->video.frames) {
-    for (auto& session : sessions) {
-      ASSERT_TRUE(session->PushFrame(frame).ok());
-    }
-  }
-  std::vector<SessionReport> reports;
-  for (auto& session : sessions) reports.push_back(session->Drain());
-
-  for (const auto& report : reports) {
-    EXPECT_EQ(report.precision, nn::Precision::kInt8) << report.camera_id;
-    EXPECT_GT(report.labels_written, 0u) << report.camera_id;
-  }
-  for (std::size_t i = 1; i < sessions.size(); ++i) {
-    EXPECT_EQ(sessions[0]->db().rows(), sessions[i]->db().rows())
-        << cams[i].first << ": int8 results must not depend on placement";
-  }
-}
-
-TEST_F(RuntimeTest, MixedPrecisionSessionsMatchTheirIsolatedRuns) {
-  // Precision is per session: an int8 camera and an fp32 camera sharing one
-  // runtime (one classifier, parallel cloud workers) each get exactly the
-  // database they would get streaming alone.
-  SessionConfig int8_cfg = SceneSession();
-  int8_cfg.precision = nn::Precision::kInt8;
-  const std::vector<SessionConfig> configs = {int8_cfg, SceneSession()};
+TEST_F(RuntimeTest, ParallelCloudNnSessionsMatchTheirIsolatedRuns) {
+  // An all-cloud camera and a pinned-split camera sharing one runtime (one
+  // classifier, two parallel cloud-nn workers interleaving both sessions'
+  // suffix passes) each get exactly the database they would get streaming
+  // alone through a serial cloud tier.
+  SessionConfig cloud_cfg = SceneSession();
+  cloud_cfg.placement = PlacementMode::kCloud;
+  SessionConfig fixed_cfg = SceneSession();
+  fixed_cfg.placement = PlacementMode::kFixed;
+  fixed_cfg.fixed_split = 2;
+  const std::vector<SessionConfig> configs = {cloud_cfg, fixed_cfg};
 
   RuntimeConfig shared_config = SmallConfig();
   shared_config.cloud_nn_parallelism = 2;
@@ -491,8 +453,10 @@ TEST_F(RuntimeTest, MixedPrecisionSessionsMatchTheirIsolatedRuns) {
   }
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const SessionReport report = sessions[i]->Drain();
-    EXPECT_EQ(report.precision, configs[i].precision);
+    EXPECT_EQ(report.placement, configs[i].placement);
+    EXPECT_EQ(report.nn_split, configs[i].fixed_split);
     EXPECT_GT(report.labels_written, 0u);
+    EXPECT_GT(report.edge_to_cloud_bytes, 0u);
 
     Runtime isolated(SmallConfig(), classifier_);
     auto alone = isolated.OpenSession("alone", configs[i]);
@@ -502,7 +466,7 @@ TEST_F(RuntimeTest, MixedPrecisionSessionsMatchTheirIsolatedRuns) {
     }
     (void)(*alone)->Drain();
     EXPECT_EQ(sessions[i]->db().rows(), (*alone)->db().rows())
-        << nn::PrecisionName(configs[i].precision)
+        << "split " << configs[i].fixed_split
         << ": a shared runtime changed this session's results";
   }
 }

@@ -19,10 +19,6 @@ Fails (exit 1) on a >threshold regression in the tracked scenarios:
                     per-arch check that the avx2 table is not slower than
                     the sse2 table when both ran (a wider table that loses
                     to the narrower one means a broken kernel or dispatch)
-  * int8_inference — int8-vs-fp32 backbone speedup, plus a hard-fail
-                    agreement_ok boolean (the quantization contract:
-                    >= 99% top-1 agreement on decidable frames and every
-                    flip below the noise floor — see docs/perf.md)
   * pipelined_encode — pipelined-vs-plain encode speedup (skipped on
                     single-core runners, where there is nothing to overlap
                     with) plus a hard-fail bit_identical boolean
@@ -79,7 +75,6 @@ SCENARIO_OF = {
     "live_query": "live_query",
     "dct_sad_kernels": "dct_sad_kernels",
     "wan_chaos": "wan_chaos",
-    "int8_inference": "int8_inference",
     "pipelined_encode": "pipelined_encode",
     "trace_overhead": "trace_overhead",
     "durability": "durability",
@@ -127,12 +122,6 @@ METRICS = [
     ("dct_sad_kernels.fdct_speedup", False, 2.0),
     ("dct_sad_kernels.idct_speedup", False, 2.0),
     ("dct_sad_kernels.sad_speedup", False, 2.0),
-    # Int8-vs-fp32 backbone forward: same-process and machine-normalized,
-    # but the int8 advantage shifts with the SIMD tier the runner's CPU
-    # offers (AVX2 u8s8 dot vs scalar accumulate), so the widened band —
-    # a real regression (quantized path silently falling back to fp32)
-    # drops the ratio to ~1.0, far outside it.
-    ("int8_inference.speedup", False, 2.0),
     # Pipelined-vs-plain encode. Same-process ratio, but the overlap
     # dividend only exists with >= 2 cores; main() skips this metric
     # entirely on single-core runners (fresh hardware_threads < 2), where
@@ -165,11 +154,6 @@ BOOLEANS = [
     # Every chaos leg's delivered-or-dropped ledger must balance — a false
     # here means the transport silently lost a frame under load.
     "wan_chaos.reconciled",
-    # Hard gate: the int8 quantization contract (>= 99% top-1 agreement on
-    # decidable frames, every flip below the noise floor, raw agreement
-    # >= 90%). A false is a broken scale/zero-point or a drifted backbone,
-    # not noise.
-    "int8_inference.agreement_ok",
     # Hard gate: the pipelined encoder must produce byte-identical
     # bitstreams to the non-pipelined path (core or not — bit-equality
     # holds everywhere even when the speedup doesn't).

@@ -30,10 +30,8 @@
 # dispatch-layer DCT/IDCT/quant/SAD kernels — every supported table, sse2
 # AND avx2, each bit-equality-checked against scalar), wan_chaos
 # (delivered-frame latency + ledger reconciliation under scripted loss),
-# int8_inference (int8 vs fp32 backbone forward latency + the top-1
-# agreement contract over a labelled scene), pipelined_encode (frame-level
-# pipelining on vs off at the same parallelism, with a byte-equality check
-# on the bitstreams), and
+# pipelined_encode (frame-level pipelining on vs off at the same
+# parallelism, with a byte-equality check on the bitstreams), and
 # trace_overhead (the observability contract: trace recorder on vs off over
 # one encode+serve workload — CPU overhead must stay under 2% and the
 # outputs byte-identical).
