@@ -50,7 +50,6 @@ void RunDataset(synth::DatasetId id, std::size_t frames, int max_width) {
 
   const auto train = synth::GenerateScene(train_cfg);
   const auto test = synth::GenerateScene(test_cfg);
-  const auto train_costs = codec::AnalyzeVideo(train.video);
   const auto test_costs = codec::AnalyzeVideo(test.video);
 
   std::fprintf(stderr, "[fig3] %s: train events=%zu test events=%zu\n",
@@ -111,7 +110,9 @@ void RunDataset(synth::DatasetId id, std::size_t frames, int max_width) {
                 (sum_sieve - sum_sift) / n * 100.0,
                 (sum_sieve - sum_mse) / n * 100.0);
   }
-  (void)train_costs;
+  // Each dataset takes minutes: make its table visible as soon as it is
+  // done, also when stdout is a pipe or file (block-buffered).
+  std::fflush(stdout);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 #include "codec/analysis.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdlib>
+#include <utility>
 
 #include "codec/motion.h"
 #include "runtime/executor.h"
@@ -15,44 +16,36 @@ namespace {
 constexpr int kAnalysisBlock = 8;  // MB size at half resolution
 
 /// Total absolute deviation of a block from its mean: a SATD-like proxy for
-/// intra coding cost that grows with texture.
-double BlockIntraCost(const media::Plane& p, int bx, int by, int size) {
-  double sum = 0;
-  if (p.ContainsRect(bx, by, size, size)) {
-    for (int y = 0; y < size; ++y) {
-      const std::uint8_t* row = p.row(by + y) + bx;
-      for (int x = 0; x < size; ++x) sum += row[x];
+/// intra coding cost that grows with texture. Summed in integers with the
+/// same bits as the double form: for 64 pixels mean = sum/64 is exact, each
+/// |x - mean| = |64x - sum|/64 is a multiple of 1/64 below 2^8, and every
+/// partial sum of them stays below 2^14, so double arithmetic is exact in
+/// any order and Σ|64x - sum| / 64.0 is the identical value.
+double BlockIntraCost(const media::Plane& p, int bx, int by) {
+  constexpr int bs = kAnalysisBlock, n = bs * bs;
+  std::uint8_t block[n];
+  if (p.ContainsRect(bx, by, bs, bs)) {
+    for (int y = 0; y < bs; ++y) {
+      std::copy_n(p.row(by + y) + bx, bs, block + y * bs);
     }
-    const double mean = sum / double(size * size);
-    double dev = 0;
-    for (int y = 0; y < size; ++y) {
-      const std::uint8_t* row = p.row(by + y) + bx;
-      for (int x = 0; x < size; ++x) dev += std::abs(double(row[x]) - mean);
-    }
-    return dev;
-  }
-  int n = 0;
-  for (int y = 0; y < size; ++y) {
-    for (int x = 0; x < size; ++x) {
-      sum += p.at_clamped(bx + x, by + y);
-      ++n;
+  } else {
+    for (int y = 0; y < bs; ++y) {
+      for (int x = 0; x < bs; ++x) block[y * bs + x] = p.at_clamped(bx + x, by + y);
     }
   }
-  const double mean = sum / std::max(1, n);
-  double dev = 0;
-  for (int y = 0; y < size; ++y) {
-    for (int x = 0; x < size; ++x) {
-      dev += std::abs(double(p.at_clamped(bx + x, by + y)) - mean);
-    }
-  }
-  return dev;
+  int sum = 0;
+  for (const std::uint8_t v : block) sum += v;
+  int dev = 0;
+  for (const std::uint8_t v : block) dev += std::abs(n * int(v) - sum);
+  return dev / double(n);
 }
 
-/// SAD at a fixed motion vector with a per-pixel noise deadzone.
+/// SAD at a fixed motion vector with a per-pixel noise deadzone. The terms
+/// are integers, so an int accumulator gives the same value as a double one.
 double DeadzoneSad(const media::Plane& cur, const media::Plane& ref, int bx,
                    int by, int size, MotionVector mv, int deadzone) {
   const int sx = bx + mv.dx, sy = by + mv.dy;
-  double acc = 0;
+  int acc = 0;
   if (cur.ContainsRect(bx, by, size, size) &&
       ref.ContainsRect(sx, sy, size, size)) {
     for (int y = 0; y < size; ++y) {
@@ -89,7 +82,7 @@ RowCost AnalyzeBlockRow(const media::Plane& cur, const media::Plane* prev,
   MotionVector predictor{0, 0};
   for (int mx = 0; mx < mbs_x; ++mx) {
     const int bx = mx * bs, by = my * bs;
-    const double ic = BlockIntraCost(cur, bx, by, bs) + 1.0;
+    const double ic = BlockIntraCost(cur, bx, by) + 1.0;
     out.intra += ic;
     if (prev != nullptr) {
       const MotionResult mr =
@@ -139,19 +132,21 @@ FrameCost CostsBetween(const media::Plane& cur, const media::Plane* prev,
 }  // namespace
 
 FrameCost FrameAnalyzer::Push(const media::Frame& frame) {
-  media::Plane cur =
-      params_.half_resolution ? media::Downsample2x(frame.y()) : frame.y();
+  // cur_ and prev_ swap roles every frame; once both hold a plane of the
+  // analysis size, neither is reallocated again.
+  if (params_.half_resolution) {
+    media::Downsample2x(frame.y(), cur_);
+  } else {
+    cur_ = frame.y();
+  }
   const FrameCost cost =
-      CostsBetween(cur, has_prev_ ? &prev_ : nullptr, params_, executor_);
-  prev_ = std::move(cur);
+      CostsBetween(cur_, has_prev_ ? &prev_ : nullptr, params_, executor_);
+  std::swap(cur_, prev_);
   has_prev_ = true;
   return cost;
 }
 
-void FrameAnalyzer::Reset() {
-  prev_ = media::Plane();
-  has_prev_ = false;
-}
+void FrameAnalyzer::Reset() { has_prev_ = false; }
 
 std::vector<FrameCost> AnalyzeVideo(const media::RawVideo& video,
                                     const AnalysisParams& params) {

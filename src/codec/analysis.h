@@ -74,6 +74,7 @@ class FrameAnalyzer {
  private:
   AnalysisParams params_;
   runtime::Executor* executor_ = nullptr;
+  media::Plane cur_;   // analysis-scale luma of the frame being pushed
   media::Plane prev_;  // analysis-scale luma of the previous frame
   bool has_prev_ = false;
 };

@@ -1,5 +1,7 @@
 #include "codec/encoder.h"
 
+#include <utility>
+
 namespace sieve::codec {
 
 Expected<EncodedVideo> VideoEncoder::Encode(const media::RawVideo& video) const {
@@ -83,23 +85,24 @@ Expected<FrameRecord> StreamingEncoder::PushFrame(const media::Frame& frame) {
   ByteWriter payload;
   RangeEncoder rc(&payload);
   FrameModels models;  // fresh per frame: payloads are self-contained
-  media::Frame new_recon(header_.width, header_.height);
+  // Every coding path below writes all of recon_spare_, so its previous
+  // contents never leak into the new reconstruction.
   if (is_key) {
     // Same two-pass split as inter frames: the reference path pinned the
     // executor to inline-serial in the constructor, so the golden encode
     // stays single-threaded by construction.
-    EncodeIntraFrame(rc, models, frame, ctx_, new_recon, executor_,
+    EncodeIntraFrame(rc, models, frame, ctx_, recon_spare_, executor_,
                      &intra_scratch_);
   } else if (params_.reference_inter) {
     EncodeInterFrameReference(rc, models, frame, recon_, ctx_, params_.inter,
-                              new_recon);
+                              recon_spare_);
   } else {
-    EncodeInterFrame(rc, models, frame, recon_, ctx_, params_.inter, new_recon,
-                     executor_, &inter_scratch_);
+    EncodeInterFrame(rc, models, frame, recon_, ctx_, params_.inter,
+                     recon_spare_, executor_, &inter_scratch_);
   }
   rc.Flush();
   pass_span.End();
-  recon_ = std::move(new_recon);
+  std::swap(recon_, recon_spare_);
 
   const FrameRecord record = writer_.AppendFrame(
       is_key ? FrameType::kIntra : FrameType::kInter,

@@ -196,7 +196,12 @@ class StreamingEncoder {
   std::unique_ptr<runtime::Executor> owned_executor_;  ///< for threads > 1
   InterScratch inter_scratch_;        ///< reused across frames: no per-frame allocs
   IntraScratch intra_scratch_;        ///< I-frame pass-1 coefficients, reused
+  // recon_ double-buffers against recon_spare_: a frame's pass reads recon_
+  // (the previous frame's reference) while writing recon_spare_, then the two
+  // swap, so no push allocates a frame. A deferred entropy sweep
+  // (PushFramePipelined) never touches either.
   media::Frame recon_;
+  media::Frame recon_spare_;
   std::vector<FrameRecord> records_;
   std::vector<FrameCost> costs_;
   std::size_t frames_since_keyframe_ = 0;
@@ -204,14 +209,10 @@ class StreamingEncoder {
   std::uint64_t trace_track_ = 0;  ///< see set_trace_track
   std::uint64_t frames_in_ = 0;    ///< frames pushed (trace frame index)
 
-  // Pipeline state (PushFramePipelined). recon_ double-buffers against
-  // recon_spare_: pass 1 reads recon_ (the previous frame's reference) while
-  // writing recon_spare_, then the two swap — the deferred entropy sweep
-  // never touches either.
+  // Pipeline state (PushFramePipelined).
   std::array<PipelineSlot, 2> slots_;
   int cur_slot_ = 0;
   bool entropy_pending_ = false;  ///< slots_[1 - cur_slot_] awaiting drain
-  media::Frame recon_spare_;
   std::thread entropy_worker_;
   std::mutex pipe_mu_;
   std::condition_variable pipe_cv_;

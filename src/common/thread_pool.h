@@ -36,7 +36,12 @@ class ThreadPool {
     return result;
   }
 
-  /// Run fn(i) for i in [0, n) across the pool and wait for all to finish.
+  /// Run fn(i) for i in [0, n) and wait for all to finish. The calling
+  /// thread runs iterations too, next to at most min(n - 1, size()) helper
+  /// tasks that claim indices from one shared counter, so a call made from
+  /// inside a pool task completes even when every worker is busy. The first
+  /// exception thrown by an iteration is rethrown here after all iterations
+  /// finished.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   std::size_t size() const noexcept { return workers_.size(); }

@@ -10,12 +10,6 @@ Plane::Plane(int width, int height, std::uint8_t fill)
       data_(std::size_t(std::max(width, 0)) * std::size_t(std::max(height, 0)),
             fill) {}
 
-std::uint8_t Plane::at_clamped(int x, int y) const noexcept {
-  x = std::clamp(x, 0, width_ - 1);
-  y = std::clamp(y, 0, height_ - 1);
-  return data_[std::size_t(y) * std::size_t(width_) + std::size_t(x)];
-}
-
 void Plane::Fill(std::uint8_t v) { std::fill(data_.begin(), data_.end(), v); }
 
 Frame::Frame(int width, int height)

@@ -7,6 +7,7 @@
 // multiples internally.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstddef>
 #include <vector>
@@ -34,7 +35,11 @@ class Plane {
   }
   /// Clamped read: coordinates outside the plane clamp to the border. Used
   /// by motion compensation and filters so edges behave like x264's padding.
-  std::uint8_t at_clamped(int x, int y) const noexcept;
+  std::uint8_t at_clamped(int x, int y) const noexcept {
+    x = std::clamp(x, 0, width_ - 1);
+    y = std::clamp(y, 0, height_ - 1);
+    return data_[std::size_t(y) * std::size_t(width_) + std::size_t(x)];
+  }
 
   const std::uint8_t* row(int y) const {
     return data_.data() + std::size_t(y) * std::size_t(width_);

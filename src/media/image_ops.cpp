@@ -127,9 +127,29 @@ Plane GaussianBlur(const Plane& src, double sigma) {
 }
 
 Plane Downsample2x(const Plane& src) {
+  Plane dst;
+  Downsample2x(src, dst);
+  return dst;
+}
+
+void Downsample2x(const Plane& src, Plane& dst) {
   const int w = std::max(1, src.width() / 2);
   const int h = std::max(1, src.height() / 2);
-  Plane dst(w, h);
+  if (dst.width() != w || dst.height() != h) dst = Plane(w, h);
+  if (src.width() >= 2 && src.height() >= 2) {
+    // Every 2x2 window lies inside the plane (an odd last row or column is
+    // dropped), so no read needs clamping.
+    for (int y = 0; y < h; ++y) {
+      const std::uint8_t* r0 = src.row(2 * y);
+      const std::uint8_t* r1 = src.row(2 * y + 1);
+      std::uint8_t* out = dst.row(y);
+      for (int x = 0; x < w; ++x) {
+        const int sum = r0[2 * x] + r0[2 * x + 1] + r1[2 * x] + r1[2 * x + 1];
+        out[x] = static_cast<std::uint8_t>((sum + 2) / 4);
+      }
+    }
+    return;
+  }
   for (int y = 0; y < h; ++y) {
     for (int x = 0; x < w; ++x) {
       const int sx = x * 2, sy = y * 2;
@@ -138,7 +158,6 @@ Plane Downsample2x(const Plane& src) {
       dst.at(x, y) = static_cast<std::uint8_t>((sum + 2) / 4);
     }
   }
-  return dst;
 }
 
 GradientField SobelGradients(const Plane& src) {

@@ -19,8 +19,15 @@ Plane BoxBlur(const Plane& src, int radius);
 /// Separable Gaussian blur with given sigma (sigma<=0 returns a copy).
 Plane GaussianBlur(const Plane& src, double sigma);
 
-/// 2x decimation with 2x2 averaging (used by the SIFT pyramid).
+/// 2x decimation with 2x2 averaging (the SIFT pyramid, the codec's
+/// half-resolution lookahead). Output is max(1, w/2) x max(1, h/2); each
+/// pixel is the rounded mean (a+b+c+d+2)/4 of its 2x2 window, clamped to the
+/// border only for 1-pixel-wide or -high sources.
 Plane Downsample2x(const Plane& src);
+
+/// Same, into `dst`, which is reallocated only when its size differs: a
+/// stream that downsamples every frame reuses one plane.
+void Downsample2x(const Plane& src, Plane& dst);
 
 /// Sobel gradients; outputs are per-pixel dx, dy in [-1020, 1020] packed as
 /// int16 vectors the same size as the plane.

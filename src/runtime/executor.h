@@ -33,8 +33,14 @@ class Executor {
   virtual ~Executor() = default;
 
   /// Run fn(i) for every i in [0, n); returns when all iterations finished.
-  /// Iterations may run on pool threads in any order and must not block on
-  /// work scheduled through the same executor.
+  /// The calling thread runs iterations itself, alongside at most
+  /// min(n - 1, concurrency()) helpers on the executor's workers, and waits
+  /// only for iterations a helper has already claimed. A ParallelFor issued
+  /// from inside an iteration or a pool task therefore completes even when
+  /// no worker is free. Iterations run in any order, each exactly once, and
+  /// must not block on work scheduled through the same executor. The first
+  /// exception an iteration throws is rethrown to the caller once every
+  /// iteration has finished.
   virtual void ParallelFor(std::size_t n,
                            const std::function<void(std::size_t)>& fn) = 0;
 

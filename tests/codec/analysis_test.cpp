@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+
+#include "runtime/executor.h"
 #include "synth/scene.h"
 
 namespace sieve::codec {
@@ -109,6 +115,74 @@ TEST(Analysis, ResetForgetsHistory) {
   const FrameCost cost = analyzer.Push(scene.video.frames[1]);
   EXPECT_DOUBLE_EQ(cost.inter_cost, cost.intra_cost)
       << "after reset the next frame has no predecessor";
+}
+
+// Golden analyzer costs: an FNV-1a hash over the raw IEEE bits of every
+// FrameCost (intra then inter, frame by frame) of a seeded clip, recorded
+// with the double-accumulating BlockIntraCost/DeadzoneSad and the clamped
+// per-pixel Downsample2x (GCC 12, -O2, x86-64). Keyframe decisions alone
+// could hide a cost drift that flips no decision; these pin every bit, for
+// a serial and for a pooled analyzer.
+struct CostGoldenCase {
+  int width, height;
+  std::uint64_t seed;
+  std::uint64_t hash;
+};
+constexpr CostGoldenCase kCostGoldenCases[] = {
+    {320, 240, 5, 0x37BBDED13A29D9A0ull},
+    {160, 120, 6, 0x81D601C444618C08ull},
+    {90, 70, 7, 0xFA07AFD74EC88AD9ull},  // half-res 45x35: partial blocks on both axes
+};
+
+std::uint64_t HashCosts(const std::vector<FrameCost>& costs) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const FrameCost& c : costs) {
+    for (const double v : {c.intra_cost, c.inter_cost}) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &v, sizeof bits);
+      for (int b = 0; b < 8; ++b) {
+        h ^= (bits >> (8 * b)) & 0xFF;
+        h *= 0x100000001B3ull;
+      }
+    }
+  }
+  return h;
+}
+
+std::string Hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llX",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(AnalysisGolden, CostBitsMatchRecordedHash) {
+  runtime::ThreadPoolExecutor pool(3);
+  for (const CostGoldenCase& gc : kCostGoldenCases) {
+    synth::SceneConfig c;
+    c.width = gc.width;
+    c.height = gc.height;
+    c.num_frames = 60;
+    c.seed = gc.seed;
+    c.mean_gap_seconds = 0.5;
+    c.min_gap_seconds = 0.2;
+    c.mean_dwell_seconds = 0.5;
+    c.min_dwell_seconds = 0.3;
+    const auto scene = synth::GenerateScene(c);
+    for (runtime::Executor* exec :
+         {static_cast<runtime::Executor*>(nullptr),
+          static_cast<runtime::Executor*>(&pool)}) {
+      FrameAnalyzer analyzer;
+      analyzer.set_executor(exec);
+      std::vector<FrameCost> costs;
+      for (const auto& frame : scene.video.frames) {
+        costs.push_back(analyzer.Push(frame));
+      }
+      EXPECT_EQ(Hex(HashCosts(costs)), Hex(gc.hash))
+          << gc.width << "x" << gc.height
+          << (exec != nullptr ? " pooled" : " serial");
+    }
+  }
 }
 
 TEST(Placement, FirstFrameAlwaysKeyframe) {

@@ -187,6 +187,45 @@ TEST(Downsample2x, AveragesQuads) {
   EXPECT_EQ(d.at(0, 0), 25);  // (10+20+30+40+2)/4
 }
 
+/// The per-pixel clamped form Downsample2x must stay byte-identical to.
+Plane ReferenceDownsample2x(const Plane& src) {
+  Plane dst(std::max(1, src.width() / 2), std::max(1, src.height() / 2));
+  for (int y = 0; y < dst.height(); ++y) {
+    for (int x = 0; x < dst.width(); ++x) {
+      const int sum = src.at_clamped(2 * x, 2 * y) + src.at_clamped(2 * x + 1, 2 * y) +
+                      src.at_clamped(2 * x, 2 * y + 1) +
+                      src.at_clamped(2 * x + 1, 2 * y + 1);
+      dst.at(x, y) = std::uint8_t((sum + 2) / 4);
+    }
+  }
+  return dst;
+}
+
+TEST(Downsample2x, MatchesPerPixelReference) {
+  const std::pair<int, int> sizes[] = {{320, 240}, {64, 48}, {45, 35}, {7, 9},
+                                       {2, 2},     {3, 3},   {1, 9},   {1, 2},
+                                       {9, 1},     {2, 1},   {1, 1}};
+  std::uint64_t seed = 50;
+  for (const auto& [w, h] : sizes) {
+    SCOPED_TRACE(testing::Message() << w << "x" << h);
+    const Plane src = Noise(w, h, ++seed);
+    ExpectSamePlane(Downsample2x(src), ReferenceDownsample2x(src));
+  }
+}
+
+TEST(Downsample2x, ReusedDestinationMatchesFreshPlane) {
+  // One destination through a size change and back, as a stream reusing its
+  // analysis plane would: every result equals a fresh downsample.
+  Plane dst;
+  std::uint64_t seed = 70;
+  for (const auto& [w, h] : {std::pair{64, 48}, std::pair{64, 48},
+                             std::pair{33, 17}, std::pair{64, 48}}) {
+    const Plane src = Noise(w, h, ++seed);
+    Downsample2x(src, dst);
+    ExpectSamePlane(dst, ReferenceDownsample2x(src));
+  }
+}
+
 TEST(Downsample2x, HalvesDimensions) {
   const Plane d = Downsample2x(Plane(640, 480));
   EXPECT_EQ(d.width(), 320);

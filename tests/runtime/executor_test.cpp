@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -29,6 +32,43 @@ TEST(ThreadPoolExecutor, CoversEveryIndexOnce) {
   std::vector<std::atomic<int>> hits(kN);
   exec.ParallelFor(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(ThreadPoolExecutor, IterationExceptionReachesCaller) {
+  ThreadPoolExecutor exec(3);
+  std::vector<std::atomic<int>> hits(50);
+  EXPECT_THROW(exec.ParallelFor(50,
+                                [&](std::size_t i) {
+                                  hits[i].fetch_add(1);
+                                  if (i % 10 == 3) throw std::logic_error("boom");
+                                }),
+               std::logic_error);
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(ThreadPoolExecutor, FewerIndicesThanWorkersCoverEachOnce) {
+  ThreadPoolExecutor exec(6);
+  for (std::size_t n : {1u, 2u, 5u}) {
+    std::vector<std::atomic<int>> hits(n);
+    exec.ParallelFor(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << n << ":" << i;
+  }
+}
+
+TEST(ThreadPoolExecutor, ParallelForInsideIterationOnOneWorkerCompletes) {
+  // An outer loop's iteration issues an inner loop on a 1-worker pool whose
+  // worker may be running the other outer iteration: the inner caller
+  // drains its own indices instead of waiting for a free worker.
+  ThreadPoolExecutor exec(1);
+  std::atomic<std::size_t> sum{0};
+  auto done = std::async(std::launch::async, [&] {
+    exec.ParallelFor(2, [&](std::size_t) {
+      exec.ParallelFor(10, [&](std::size_t i) { sum.fetch_add(i); });
+    });
+  });
+  ASSERT_EQ(done.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+  done.get();
+  EXPECT_EQ(sum.load(), 90u);
 }
 
 TEST(ThreadPoolExecutor, ZeroSizesToHardware) {
