@@ -1,8 +1,8 @@
-// Shared workload construction for the end-to-end benches (Fig. 4 and 5).
+// Workload construction for the Fig. 5 byte-accounting bench.
 //
 // Building a workload renders + tunes + encodes a probe slice of each
 // dataset, which takes a couple of minutes for all five; the result is
-// cached in ./bench_workloads.cache so the second bench binary reuses it.
+// cached in ./bench_workloads.cache so a second run reuses it.
 #pragma once
 
 #include <string>

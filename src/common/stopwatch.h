@@ -1,4 +1,4 @@
-// Wall-clock stopwatch used by the calibration and benchmark harnesses.
+// Wall-clock stopwatch used by the runtime's stage timing and the benches.
 #pragma once
 
 #include <chrono>

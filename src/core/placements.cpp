@@ -209,141 +209,4 @@ TransferReport ComputeTransfer(Placement placement,
   return report;
 }
 
-ThroughputReport SimulateThroughput(Placement placement,
-                                    std::span<const VideoWorkload> workloads,
-                                    const CostModel& costs, net::LinkModel wan,
-                                    MachineModel machines) {
-  ThroughputReport report;
-  report.placement = placement;
-
-  sim::Simulator simulator;
-  sim::QueueNetwork network(&simulator);
-
-  // Station service times are resolved per job via the `kind` tag (the
-  // workload index); per-job constants are captured in these tables.
-  struct PerVideo {
-    double edge_prep = 0;    ///< edge work per selected frame (amortized)
-    double cloud_prep = 0;   ///< cloud-side seek/decode per selected frame
-    double wan_seconds = 0;  ///< per selected frame
-    double nn_seconds = 0;   ///< at the placement's NN tier
-    std::size_t selected = 0;
-  };
-  std::vector<PerVideo> table(workloads.size());
-
-  const double resize_still_300 =
-      (costs.resize_per_pixel + costs.encode_still_per_pixel) * 300.0 * 300.0;
-
-  // Streaming transfers are pipelined (NiFi flowfiles over a persistent
-  // connection), so jobs pay serialization delay only — per-message RTT
-  // does not accumulate.
-  const auto wan_seconds = [&wan](std::size_t bytes) {
-    return double(bytes) * 8.0 / (wan.bandwidth_mbps * 1e6);
-  };
-
-  for (std::size_t v = 0; v < workloads.size(); ++v) {
-    const VideoWorkload& w = workloads[v];
-    PerVideo& pv = table[v];
-    const double px = double(w.width) * double(w.height);
-    const std::size_t selected =
-        placement == Placement::kMseEdgeCloudNN
-            ? w.mse_selected
-            : (placement == Placement::kUniformEdgeCloudNN ? w.uniform_selected
-                                                           : w.semantic_iframes);
-    pv.selected = std::max<std::size_t>(1, selected);
-    const double stride = double(w.total_frames) / double(pv.selected);
-
-    switch (placement) {
-      case Placement::kIFrameEdgeCloudNN:
-        pv.edge_prep = stride * costs.seek_per_frame +
-                       costs.decode_i_per_pixel * px + resize_still_300;
-        pv.wan_seconds = wan_seconds(w.still_bytes);
-        pv.nn_seconds = costs.ref_nn_cloud_seconds;
-        break;
-      case Placement::kIFrameCloudCloudNN:
-        // The whole stream crosses the WAN, accounted per selected frame.
-        pv.wan_seconds = wan_seconds(
-            std::size_t(double(w.semantic_bytes) / double(pv.selected)));
-        pv.cloud_prep = (stride * costs.seek_per_frame +
-                         costs.decode_i_per_pixel * px) /
-                        costs.cloud_speedup;
-        pv.nn_seconds = costs.ref_nn_cloud_seconds;
-        break;
-      case Placement::kIFrameEdgeEdgeNN:
-        pv.edge_prep = stride * costs.seek_per_frame +
-                       costs.decode_i_per_pixel * px;
-        pv.nn_seconds = costs.ref_nn_edge_seconds;
-        break;
-      case Placement::kUniformEdgeCloudNN:
-        // Uniform sampling still decodes every frame (the paper's point).
-        pv.edge_prep = stride * costs.decode_p_per_pixel * px + resize_still_300;
-        pv.wan_seconds = wan_seconds(w.still_bytes);
-        pv.nn_seconds = costs.ref_nn_cloud_seconds;
-        break;
-      case Placement::kMseEdgeCloudNN:
-        pv.edge_prep = stride * (costs.decode_p_per_pixel + costs.mse_per_pixel) * px +
-                       resize_still_300;
-        pv.wan_seconds = wan_seconds(w.still_bytes);
-        pv.nn_seconds = costs.ref_nn_cloud_seconds;
-        break;
-    }
-  }
-
-  const int edge_station = network.AddStation(
-      "edge", machines.edge_servers,
-      [&table](sim::Job& job) { return table[job.kind].edge_prep; });
-  const int wan_station = network.AddStation(
-      "wan", 1, [&table](sim::Job& job) { return table[job.kind].wan_seconds; });
-  const int cloud_prep_station = network.AddStation(
-      "cloud-prep", machines.cloud_servers,
-      [&table](sim::Job& job) { return table[job.kind].cloud_prep; });
-  const int nn_station = network.AddStation(
-      "nn",
-      placement == Placement::kIFrameEdgeEdgeNN ? machines.edge_servers
-                                                : machines.cloud_servers,
-      [&table](sim::Job& job) { return table[job.kind].nn_seconds; });
-
-  std::vector<int> route;
-  switch (placement) {
-    case Placement::kIFrameEdgeCloudNN:
-    case Placement::kUniformEdgeCloudNN:
-    case Placement::kMseEdgeCloudNN:
-      route = {edge_station, wan_station, nn_station};
-      break;
-    case Placement::kIFrameCloudCloudNN:
-      route = {wan_station, cloud_prep_station, nn_station};
-      break;
-    case Placement::kIFrameEdgeEdgeNN:
-      route = {edge_station, nn_station};
-      break;
-  }
-
-  // Post-event analysis: all selected frames are available at t=0 (videos
-  // pre-recorded at the edge), staggered infinitesimally to keep FIFO order
-  // interleaved across videos.
-  std::uint64_t job_id = 0;
-  for (std::size_t v = 0; v < workloads.size(); ++v) {
-    report.total_frames += workloads[v].total_frames;
-    for (std::size_t i = 0; i < table[v].selected; ++i) {
-      sim::Job job;
-      job.id = job_id++;
-      job.kind = std::uint32_t(v);
-      job.bytes = workloads[v].still_bytes;
-      network.Inject(std::move(job), route, 1e-9 * double(job_id));
-    }
-  }
-  report.jobs = job_id;
-
-  network.Run();
-  report.makespan_seconds = network.makespan();
-  report.fps = report.makespan_seconds > 0
-                   ? double(report.total_frames) / report.makespan_seconds
-                   : 0.0;
-  for (std::size_t s = 0; s < network.station_count(); ++s) {
-    report.stations.push_back(network.stats(int(s)));
-  }
-  (void)wan_station;
-  (void)cloud_prep_station;
-  return report;
-}
-
 }  // namespace sieve::core

@@ -1,5 +1,6 @@
 // The five end-to-end placements of Section V-B, with exact byte accounting
-// (Figure 5) and a calibrated discrete-event throughput model (Figure 4).
+// (Figure 5). Figure 4's throughput is measured on runtime::Runtime itself
+// (bench/fig4_throughput.cpp), not modelled here.
 //
 // Workloads are built by really rendering + encoding a probe slice of each
 // dataset with this library's codec, measuring every byte and selection
@@ -10,13 +11,9 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
-#include "core/calibration.h"
 #include "core/tuner.h"
-#include "net/link.h"
-#include "sim/queue_network.h"
 #include "synth/datasets.h"
 
 namespace sieve::core {
@@ -99,28 +96,5 @@ struct TransferReport {
 };
 TransferReport ComputeTransfer(Placement placement,
                                std::span<const VideoWorkload> workloads);
-
-/// Machine model for the throughput simulation.
-struct MachineModel {
-  int edge_servers = 2;   ///< the paper's i7-5600 (2C/4T laptop part)
-  int cloud_servers = 4;  ///< the paper's Xeon E5-1603 (4C)
-};
-
-/// Throughput simulation result (Figure 4): processed frames per second,
-/// where "processed" counts every frame of every stream (labels propagate).
-struct ThroughputReport {
-  Placement placement;
-  double fps = 0.0;
-  double makespan_seconds = 0.0;
-  std::uint64_t jobs = 0;          ///< selected frames pushed through
-  std::uint64_t total_frames = 0;
-  std::vector<sim::StationStats> stations;
-};
-
-ThroughputReport SimulateThroughput(Placement placement,
-                                    std::span<const VideoWorkload> workloads,
-                                    const CostModel& costs,
-                                    net::LinkModel wan = net::LinkModel::Wan(),
-                                    MachineModel machines = {});
 
 }  // namespace sieve::core

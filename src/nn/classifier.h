@@ -7,8 +7,8 @@
 // computes one centroid per label set seen in training; prediction embeds
 // the frame and returns the nearest centroid's label set. On the synthetic
 // datasets (distinct class silhouettes/chroma) this yields near-oracle
-// labels, and the backbone's measured per-frame latency feeds the
-// end-to-end throughput model. The substitution is documented in DESIGN.md.
+// labels. It is a ~1 ms CNN, not YOLOv3's ~1 s edge forward, which is why
+// Figure 4's placement ordering differs from the paper (docs/placement.md).
 #pragma once
 
 #include <cstdint>

@@ -26,7 +26,7 @@ class Layer {
   /// network loop uses this entry point.
   virtual void ForwardInPlace(Tensor& t) const { t = Forward(t); }
   /// Approximate multiply-accumulate count for one forward pass (cost model
-  /// input for the partitioner and the DES calibration).
+  /// input for the partitioner).
   virtual std::uint64_t Macs(const Shape& input) const = 0;
 };
 

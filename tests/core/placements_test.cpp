@@ -87,72 +87,6 @@ TEST(Transfer, MultipleWorkloadsAccumulate) {
   EXPECT_EQ(r.edge_to_cloud_bytes, 2u * 2000u * 20000u);
 }
 
-TEST(Throughput, AllPlacementsCompleteAllJobs) {
-  const std::vector<VideoWorkload> ws{TestWorkload()};
-  const CostModel costs = ReferenceCostModel();
-  for (int p = 0; p < kNumPlacements; ++p) {
-    const auto report = SimulateThroughput(Placement(p), ws, costs);
-    EXPECT_GT(report.fps, 0.0) << PlacementName(Placement(p));
-    EXPECT_GT(report.jobs, 0u);
-    EXPECT_EQ(report.total_frames, 100000u);
-  }
-}
-
-TEST(Throughput, ThreeTierBeatsCloudOnly) {
-  const std::vector<VideoWorkload> ws{TestWorkload()};
-  const CostModel costs = ReferenceCostModel();
-  const auto three_tier =
-      SimulateThroughput(Placement::kIFrameEdgeCloudNN, ws, costs);
-  const auto cloud_only =
-      SimulateThroughput(Placement::kIFrameCloudCloudNN, ws, costs);
-  EXPECT_GT(three_tier.fps, cloud_only.fps)
-      << "3-tier must beat shipping the whole stream (Fig. 4 insight 2)";
-}
-
-TEST(Throughput, SemanticBeatsDecodeEverything) {
-  const std::vector<VideoWorkload> ws{TestWorkload()};
-  const CostModel costs = ReferenceCostModel();
-  const auto sieve = SimulateThroughput(Placement::kIFrameEdgeCloudNN, ws, costs);
-  const auto uniform =
-      SimulateThroughput(Placement::kUniformEdgeCloudNN, ws, costs);
-  const auto mse = SimulateThroughput(Placement::kMseEdgeCloudNN, ws, costs);
-  EXPECT_GT(sieve.fps, uniform.fps) << "Fig. 4 insight 1";
-  EXPECT_GT(sieve.fps, mse.fps);
-  EXPECT_GE(uniform.fps, mse.fps) << "MSE adds similarity cost on top of decode";
-}
-
-TEST(Throughput, MoreVideosMoreTotalFramesSameOrdering) {
-  const std::vector<VideoWorkload> one{TestWorkload()};
-  const std::vector<VideoWorkload> three{TestWorkload(), TestWorkload(),
-                                         TestWorkload()};
-  const CostModel costs = ReferenceCostModel();
-  const auto r1 = SimulateThroughput(Placement::kIFrameEdgeCloudNN, one, costs);
-  const auto r3 = SimulateThroughput(Placement::kIFrameEdgeCloudNN, three, costs);
-  EXPECT_EQ(r3.total_frames, 3 * r1.total_frames);
-  // Throughput cannot triple (shared stations) but must not collapse.
-  EXPECT_GT(r3.fps, 0.5 * r1.fps);
-}
-
-TEST(Throughput, StationsReported) {
-  const std::vector<VideoWorkload> ws{TestWorkload()};
-  const auto report = SimulateThroughput(Placement::kIFrameEdgeCloudNN, ws,
-                                         ReferenceCostModel());
-  ASSERT_EQ(report.stations.size(), 4u);
-  bool some_busy = false;
-  for (const auto& s : report.stations) some_busy |= s.busy_seconds > 0;
-  EXPECT_TRUE(some_busy);
-}
-
-TEST(Throughput, FasterWanHelpsCloudPlacement) {
-  const std::vector<VideoWorkload> ws{TestWorkload()};
-  const CostModel costs = ReferenceCostModel();
-  const auto slow = SimulateThroughput(Placement::kIFrameCloudCloudNN, ws, costs,
-                                       net::LinkModel{30.0, 20.0});
-  const auto fast = SimulateThroughput(Placement::kIFrameCloudCloudNN, ws, costs,
-                                       net::LinkModel{3000.0, 20.0});
-  EXPECT_GT(fast.fps, slow.fps);
-}
-
 TEST(Workload, BuildFromJacksonProbe) {
   // Full workload construction on a small probe of the cheapest dataset.
   WorkloadOptions options;

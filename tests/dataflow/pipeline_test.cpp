@@ -35,32 +35,30 @@ TEST(FlowFile, U64Attributes) {
   EXPECT_FALSE(f.GetU64("bad").has_value());
 }
 
-TEST(Pipeline, RunWithoutSourceFails) {
-  Pipeline p;
-  p.SetSink("sink", [](FlowFile) {});
-  EXPECT_FALSE(p.Run().ok());
-}
-
-TEST(Pipeline, RunWithoutSinkFails) {
+TEST(Pipeline, StartWithoutSinkFails) {
   Pipeline p;
   std::size_t n = 0;
-  p.SetSource("src", [&n]() -> std::optional<FlowFile> {
+  ASSERT_TRUE(p.AttachSource("src", [&n]() -> std::optional<FlowFile> {
     if (n++ < 3) return FlowFile{};
     return std::nullopt;
-  });
-  EXPECT_FALSE(p.Run().ok());
+  }).ok());
+  const Status started = p.Start();
+  ASSERT_FALSE(started.ok());
+  EXPECT_EQ(started.code(), ErrorCode::kFailedPrecondition);
+  EXPECT_FALSE(p.Finish().ok()) << "a flow that never started cannot finish";
 }
 
 TEST(Pipeline, SourceToSinkDeliversEverything) {
   Pipeline p;
   std::size_t produced = 0;
-  p.SetSource("src", [&produced]() -> std::optional<FlowFile> {
+  ASSERT_TRUE(p.AttachSource("src", [&produced]() -> std::optional<FlowFile> {
     if (produced < 100) return NumberedFile(produced++);
     return std::nullopt;
-  });
+  }).ok());
   std::atomic<std::size_t> received{0};
   p.SetSink("sink", [&received](FlowFile) { received.fetch_add(1); });
-  auto stats = p.Run();
+  ASSERT_TRUE(p.Start().ok());
+  auto stats = p.Finish();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(received.load(), 100u);
   EXPECT_EQ(stats->front().out, 100u);
@@ -70,10 +68,10 @@ TEST(Pipeline, SourceToSinkDeliversEverything) {
 TEST(Pipeline, StagesTransformInOrder) {
   Pipeline p;
   std::size_t produced = 0;
-  p.SetSource("src", [&produced]() -> std::optional<FlowFile> {
+  ASSERT_TRUE(p.AttachSource("src", [&produced]() -> std::optional<FlowFile> {
     if (produced < 10) return NumberedFile(produced++);
     return std::nullopt;
-  });
+  }).ok());
   p.AddStage("double", [](FlowFile f) -> std::optional<FlowFile> {
     f.SetU64("n", *f.GetU64("n") * 2);
     return f;
@@ -88,7 +86,8 @@ TEST(Pipeline, StagesTransformInOrder) {
     std::lock_guard<std::mutex> lock(m);
     values.insert(*f.GetU64("n"));
   });
-  ASSERT_TRUE(p.Run().ok());
+  ASSERT_TRUE(p.Start().ok());
+  ASSERT_TRUE(p.Finish().ok());
   ASSERT_EQ(values.size(), 10u);
   for (std::uint64_t n = 0; n < 10; ++n) {
     EXPECT_TRUE(values.contains(n * 2 + 1));
@@ -98,17 +97,18 @@ TEST(Pipeline, StagesTransformInOrder) {
 TEST(Pipeline, FilterStageDropsItems) {
   Pipeline p;
   std::size_t produced = 0;
-  p.SetSource("src", [&produced]() -> std::optional<FlowFile> {
+  ASSERT_TRUE(p.AttachSource("src", [&produced]() -> std::optional<FlowFile> {
     if (produced < 50) return NumberedFile(produced++);
     return std::nullopt;
-  });
+  }).ok());
   p.AddStage("evens-only", [](FlowFile f) -> std::optional<FlowFile> {
     if (*f.GetU64("n") % 2 != 0) return std::nullopt;
     return f;
   });
   std::atomic<std::size_t> received{0};
   p.SetSink("sink", [&received](FlowFile) { received.fetch_add(1); });
-  auto stats = p.Run();
+  ASSERT_TRUE(p.Start().ok());
+  auto stats = p.Finish();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(received.load(), 25u);
   EXPECT_EQ((*stats)[1].in, 50u);
@@ -118,10 +118,10 @@ TEST(Pipeline, FilterStageDropsItems) {
 TEST(Pipeline, ParallelStageProcessesEverythingOnce) {
   Pipeline p(4);
   std::size_t produced = 0;
-  p.SetSource("src", [&produced]() -> std::optional<FlowFile> {
+  ASSERT_TRUE(p.AttachSource("src", [&produced]() -> std::optional<FlowFile> {
     if (produced < 200) return NumberedFile(produced++);
     return std::nullopt;
-  });
+  }).ok());
   p.AddStage(
       "work",
       [](FlowFile f) -> std::optional<FlowFile> { return f; }, 4);
@@ -131,7 +131,8 @@ TEST(Pipeline, ParallelStageProcessesEverythingOnce) {
     std::lock_guard<std::mutex> lock(m);
     seen.insert(*f.GetU64("n"));
   });
-  ASSERT_TRUE(p.Run().ok());
+  ASSERT_TRUE(p.Start().ok());
+  ASSERT_TRUE(p.Finish().ok());
   EXPECT_EQ(seen.size(), 200u);
   for (std::uint64_t n = 0; n < 200; ++n) EXPECT_EQ(seen.count(n), 1u);
 }
@@ -139,17 +140,18 @@ TEST(Pipeline, ParallelStageProcessesEverythingOnce) {
 TEST(Pipeline, BackpressureLimitsQueueDepth) {
   Pipeline p(2);  // tiny connections
   std::size_t produced = 0;
-  p.SetSource("fast-src", [&produced]() -> std::optional<FlowFile> {
+  ASSERT_TRUE(p.AttachSource("fast-src", [&produced]() -> std::optional<FlowFile> {
     if (produced < 100) return NumberedFile(produced++);
     return std::nullopt;
-  });
+  }).ok());
   p.AddStage("slow", [](FlowFile f) -> std::optional<FlowFile> {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
     return f;
   });
   std::atomic<std::size_t> received{0};
   p.SetSink("sink", [&received](FlowFile) { received.fetch_add(1); });
-  auto stats = p.Run();
+  ASSERT_TRUE(p.Start().ok());
+  auto stats = p.Finish();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(received.load(), 100u);
   for (const auto& s : *stats) {
@@ -160,13 +162,14 @@ TEST(Pipeline, BackpressureLimitsQueueDepth) {
 TEST(Pipeline, StatsNamesInOrder) {
   Pipeline p;
   std::size_t produced = 0;
-  p.SetSource("camera", [&produced]() -> std::optional<FlowFile> {
+  ASSERT_TRUE(p.AttachSource("camera", [&produced]() -> std::optional<FlowFile> {
     if (produced < 1) return NumberedFile(produced++);
     return std::nullopt;
-  });
+  }).ok());
   p.AddStage("edge", [](FlowFile f) -> std::optional<FlowFile> { return f; });
   p.SetSink("cloud", [](FlowFile) {});
-  auto stats = p.Run();
+  ASSERT_TRUE(p.Start().ok());
+  auto stats = p.Finish();
   ASSERT_TRUE(stats.ok());
   ASSERT_EQ(stats->size(), 3u);
   EXPECT_EQ((*stats)[0].name, "camera");
@@ -176,31 +179,37 @@ TEST(Pipeline, StatsNamesInOrder) {
 
 TEST(Pipeline, EmptySourceCompletesCleanly) {
   Pipeline p;
-  p.SetSource("empty", []() -> std::optional<FlowFile> { return std::nullopt; });
+  ASSERT_TRUE(
+      p.AttachSource("empty", [] { return std::optional<FlowFile>{}; }).ok());
   p.SetSink("sink", [](FlowFile) { FAIL() << "nothing should arrive"; });
-  auto stats = p.Run();
+  ASSERT_TRUE(p.Start().ok());
+  auto stats = p.Finish();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->back().in, 0u);
 }
 
-TEST(Pipeline, SecondRunFails) {
+TEST(Pipeline, SecondStartOrFinishFails) {
   // The first run consumes the source and stat state; a silent rerun would
   // report an empty flow as success. It must be an error instead.
   Pipeline p;
   std::size_t produced = 0;
-  p.SetSource("src", [&produced]() -> std::optional<FlowFile> {
+  ASSERT_TRUE(p.AttachSource("src", [&produced]() -> std::optional<FlowFile> {
     if (produced < 5) return NumberedFile(produced++);
     return std::nullopt;
-  });
+  }).ok());
   std::atomic<std::size_t> received{0};
   p.SetSink("sink", [&received](FlowFile) { received.fetch_add(1); });
-  ASSERT_TRUE(p.Run().ok());
+  ASSERT_TRUE(p.Start().ok());
+  ASSERT_TRUE(p.Finish().ok());
   EXPECT_EQ(received.load(), 5u);
 
-  auto rerun = p.Run();
-  ASSERT_FALSE(rerun.ok());
-  EXPECT_EQ(rerun.status().code(), ErrorCode::kFailedPrecondition);
-  EXPECT_EQ(received.load(), 5u) << "second Run must not process anything";
+  const Status restarted = p.Start();
+  ASSERT_FALSE(restarted.ok());
+  EXPECT_EQ(restarted.code(), ErrorCode::kFailedPrecondition);
+  auto refinished = p.Finish();
+  ASSERT_FALSE(refinished.ok());
+  EXPECT_EQ(refinished.status().code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(received.load(), 5u) << "a second run must not process anything";
 }
 
 TEST(Pipeline, MultiSourceFanInMergesEverything) {
@@ -208,13 +217,15 @@ TEST(Pipeline, MultiSourceFanInMergesEverything) {
   // Three cameras with distinct id ranges fan into one chain.
   std::array<std::size_t, 3> produced{0, 0, 0};
   for (std::size_t cam = 0; cam < 3; ++cam) {
-    p.AddSource("camera-" + std::to_string(cam),
-                [cam, &produced]() -> std::optional<FlowFile> {
-                  if (produced[cam] < 40) {
-                    return NumberedFile(cam * 1000 + produced[cam]++);
-                  }
-                  return std::nullopt;
-                });
+    ASSERT_TRUE(p.AttachSource("camera-" + std::to_string(cam),
+                               [cam, &produced]() -> std::optional<FlowFile> {
+                                 if (produced[cam] < 40) {
+                                   return NumberedFile(cam * 1000 +
+                                                       produced[cam]++);
+                                 }
+                                 return std::nullopt;
+                               })
+                    .ok());
   }
   p.AddStage("tag", [](FlowFile f) -> std::optional<FlowFile> { return f; });
   std::mutex m;
@@ -223,7 +234,8 @@ TEST(Pipeline, MultiSourceFanInMergesEverything) {
     std::lock_guard<std::mutex> lock(m);
     seen.insert(*f.GetU64("n"));
   });
-  auto stats = p.Run();
+  ASSERT_TRUE(p.Start().ok());
+  auto stats = p.Finish();
   ASSERT_TRUE(stats.ok());
   // Stats: 3 sources, the stage, the sink — in that order.
   ASSERT_EQ(stats->size(), 5u);
@@ -275,10 +287,10 @@ TEST(Pipeline, OrderedParallelStagePreservesInputOrder) {
   constexpr std::size_t kItems = 200;
   Pipeline p(/*queue_capacity=*/8);
   std::size_t produced = 0;
-  p.SetSource("src", [&produced]() -> std::optional<FlowFile> {
+  ASSERT_TRUE(p.AttachSource("src", [&produced]() -> std::optional<FlowFile> {
     if (produced < kItems) return NumberedFile(produced++);
     return std::nullopt;
-  });
+  }).ok());
   p.AddStage(
       "jitter",
       [](FlowFile f) -> std::optional<FlowFile> {
@@ -293,7 +305,8 @@ TEST(Pipeline, OrderedParallelStagePreservesInputOrder) {
     std::lock_guard<std::mutex> lock(order_mutex);
     order.push_back(f.GetU64("n").value_or(0));
   });
-  auto stats = p.Run();
+  ASSERT_TRUE(p.Start().ok());
+  auto stats = p.Finish();
   ASSERT_TRUE(stats.ok());
   ASSERT_EQ(order.size(), kItems);
   for (std::size_t i = 0; i < kItems; ++i) {
@@ -305,10 +318,10 @@ TEST(Pipeline, OrderedStageStillFilters) {
   constexpr std::size_t kItems = 120;
   Pipeline p(/*queue_capacity=*/4);
   std::size_t produced = 0;
-  p.SetSource("src", [&produced]() -> std::optional<FlowFile> {
+  ASSERT_TRUE(p.AttachSource("src", [&produced]() -> std::optional<FlowFile> {
     if (produced < kItems) return NumberedFile(produced++);
     return std::nullopt;
-  });
+  }).ok());
   p.AddStage(
       "drop-odd",
       [](FlowFile f) -> std::optional<FlowFile> {
@@ -324,7 +337,8 @@ TEST(Pipeline, OrderedStageStillFilters) {
     std::lock_guard<std::mutex> lock(order_mutex);
     order.push_back(f.GetU64("n").value_or(0));
   });
-  auto stats = p.Run();
+  ASSERT_TRUE(p.Start().ok());
+  auto stats = p.Finish();
   ASSERT_TRUE(stats.ok());
   ASSERT_EQ(order.size(), kItems / 2);
   for (std::size_t i = 0; i < order.size(); ++i) {

@@ -511,9 +511,9 @@ class RuntimeReplayTest : public testing::Test {
     core::ResultsDatabase db;
   };
 
-  /// Replay encoded_ through a fresh one-session Runtime at `placement`.
-  static Replay Run(PlacementMode placement) {
-    RuntimeConfig config;
+  /// Replay encoded_ through a fresh one-session Runtime built from
+  /// `config`, at `placement`.
+  static Replay Run(PlacementMode placement, RuntimeConfig config = {}) {
     config.default_placement = placement;
     config.nn_input_size = 48;
     Runtime runtime(config, classifier_);
@@ -579,6 +579,29 @@ TEST_F(RuntimeReplayTest, EdgeRunSendsNothingToCloud) {
   const Replay replay = Run(PlacementMode::kEdge);
   EXPECT_EQ(replay.report.edge_to_cloud_bytes, 0u);
   EXPECT_EQ(replay.report.labels_written, encoded_->IntraFrameCount());
+}
+
+// Figure 4's cloud-only placement: seeker, decode and NN all sit behind the
+// WAN, which is the all-edge plan with the camera's hop set to the WAN model.
+TEST_F(RuntimeReplayTest, CloudOnlyShipsTheWholeVideoOverTheWan) {
+  RuntimeConfig wan_camera;
+  wan_camera.camera_to_edge = net::LinkModel::Wan();
+  wan_camera.link_time_scale = 0;
+  const Replay cloud_only = Run(PlacementMode::kEdge, wan_camera);
+  EXPECT_EQ(cloud_only.db.rows(), Run(PlacementMode::kCloud).db.rows());
+  EXPECT_EQ(cloud_only.db.rows(), Run(PlacementMode::kEdge).db.rows());
+
+  // Every frame record crosses the WAN: ComputeTransfer's cloud-only charge
+  // (the whole container) minus the container header.
+  std::uint64_t wire_bytes = 0;
+  for (const auto& r : encoded_->records) {
+    wire_bytes += r.payload_size + codec::FrameRecord::kHeaderSize;
+  }
+  EXPECT_EQ(wire_bytes + codec::ContainerHeader::kSerializedSize,
+            encoded_->bytes.size());
+  EXPECT_EQ(cloud_only.report.camera_to_edge_bytes, wire_bytes);
+  EXPECT_EQ(cloud_only.report.edge_to_cloud_bytes, 0u);
+  EXPECT_EQ(cloud_only.report.labels_written, encoded_->IntraFrameCount());
 }
 
 TEST_F(RuntimeReplayTest, PropagatedLabelsAreMostlyCorrect) {
