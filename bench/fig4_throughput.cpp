@@ -10,9 +10,9 @@
 //   cloud-only  kEdge with camera_to_edge = the WAN model: the whole video
 //               crosses the WAN and the tiers behind it do all the work
 // 3-tier and edge-only read the clip over a zero-cost hop (kStoredAtEdge).
-// Every run uses the paper's worker counts (2 still-transcode and 2 edge-NN
-// workers, 4 cloud-NN workers), kWanWorkers WAN senders and real-time link
-// waits (link_time_scale = 1). fps = frames pushed / wall time from the
+// Every run uses the paper's worker counts (2 workers per edge stage, 4 per
+// cloud stage: WAN senders and cloud NN) and real-time link waits
+// (link_time_scale = 1). fps = frames pushed / wall time from the
 // first open to the last drain.
 //
 // The decode-all baselines (uniform sampling, MSE) decode every frame of
@@ -58,9 +58,8 @@ using core::Placement;
 /// most of the run time (~12 s per cloud-only run).
 constexpr std::size_t kClipFrames = 600;
 constexpr int kClipWidth = 160;
-constexpr int kWanWorkers = 4;  ///< one WAN sender per cloud-NN worker
 constexpr int kEdgeWorkers = 2;
-constexpr int kCloudWorkers = 4;
+constexpr int kCloudWorkers = 4;  ///< WAN senders and cloud-NN workers
 constexpr std::size_t kVideoCounts[] = {1, 3, 5};
 /// The hop from the edge's own storage: no serialization, no RTT.
 constexpr net::LinkModel kStoredAtEdge{
@@ -161,10 +160,8 @@ std::optional<Run> RunSemantic(Placement placement, std::size_t videos,
                               ? net::LinkModel::Wan()
                               : kStoredAtEdge;
   config.link_time_scale = 1.0;
-  config.transcode_parallelism = kEdgeWorkers;
-  config.edge_nn_parallelism = kEdgeWorkers;
-  config.cloud_nn_parallelism = kCloudWorkers;
-  config.wan_parallelism = kWanWorkers;
+  config.edge_parallelism = kEdgeWorkers;
+  config.cloud_parallelism = kCloudWorkers;
   runtime::Runtime rt(config, &classifier);
 
   Stopwatch wall;
@@ -324,10 +321,10 @@ int main() {
     return 1;
   }
   std::printf("clips: %zu frames each, %d px wide; workers: edge %d "
-              "(transcode, NN), cloud NN %d, WAN senders %d; "
+              "(transcode, NN), cloud %d (WAN, NN); "
               "link_time_scale 1; %u hardware threads\n",
               kClipFrames, kClipWidth, kEdgeWorkers, kCloudWorkers,
-              kWanWorkers, std::thread::hardware_concurrency());
+              std::thread::hardware_concurrency());
   for (const Clip& c : clips) {
     std::printf("  %-15s %dx%d  I-frames %zu  semantic %zu B  default %zu B\n",
                 c.name.c_str(), c.semantic.header.width,

@@ -833,8 +833,7 @@ NnPlacementResult BenchNnPlacement() {
   // same defaults — so these columns stay comparable to the auto row.
   const runtime::RuntimeConfig defaults;
   const nn::PartitionInput planner = runtime::MeasurePlannerInput(
-      classifier, cp.input_size, defaults.still_qp, defaults.edge_to_cloud,
-      defaults.cloud_speedup);
+      classifier, cp.input_size, defaults.still_qp, defaults.edge_to_cloud);
   const auto predicted = nn::EvaluateSplits(planner);
 
   const runtime::PlacementMode modes[] = {runtime::PlacementMode::kEdge,

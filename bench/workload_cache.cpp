@@ -9,14 +9,13 @@ namespace sieve::bench {
 
 std::string SerializeWorkloads(const std::vector<core::VideoWorkload>& ws) {
   std::ostringstream os;
-  os << "# name w h fps total tuned_gop tuned_sc sem_if sem_bytes sem_if_bytes "
-        "def_bytes def_if uniform mse still\n";
+  os << "# name fps total tuned_gop tuned_sc sem_if sem_bytes def_bytes "
+        "uniform mse still\n";
   for (const auto& w : ws) {
-    os << w.name << " " << w.width << " " << w.height << " " << w.fps << " "
-       << w.total_frames << " " << w.tuned.gop_size << " " << w.tuned.scenecut
-       << " " << w.semantic_iframes << " " << w.semantic_bytes << " "
-       << w.semantic_iframe_payload << " " << w.default_bytes << " "
-       << w.default_iframes << " " << w.uniform_selected << " "
+    os << w.name << " " << w.fps << " " << w.total_frames << " "
+       << w.tuned.gop_size << " " << w.tuned.scenecut << " "
+       << w.semantic_iframes << " " << w.semantic_bytes << " "
+       << w.default_bytes << " " << w.uniform_selected << " "
        << w.mse_selected << " " << w.still_bytes << "\n";
   }
   return os.str();
@@ -30,11 +29,15 @@ std::vector<core::VideoWorkload> ParseWorkloads(const std::string& text) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream fields(line);
     core::VideoWorkload w;
-    if (!(fields >> w.name >> w.width >> w.height >> w.fps >> w.total_frames >>
-          w.tuned.gop_size >> w.tuned.scenecut >> w.semantic_iframes >>
-          w.semantic_bytes >> w.semantic_iframe_payload >> w.default_bytes >>
-          w.default_iframes >> w.uniform_selected >> w.mse_selected >>
-          w.still_bytes)) {
+    std::string extra;
+    // A line with fields left over is from another format (an older cache
+    // with more columns): reject it rather than read values into the wrong
+    // fields, so the caller rebuilds the cache.
+    if (!(fields >> w.name >> w.fps >> w.total_frames >> w.tuned.gop_size >>
+          w.tuned.scenecut >> w.semantic_iframes >> w.semantic_bytes >>
+          w.default_bytes >> w.uniform_selected >> w.mse_selected >>
+          w.still_bytes) ||
+        fields >> extra) {
       return {};
     }
     out.push_back(std::move(w));

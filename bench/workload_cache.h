@@ -18,7 +18,8 @@ namespace sieve::bench {
 std::vector<core::VideoWorkload> LoadOrBuildWorkloads(
     const std::string& cache_path = "bench_workloads.cache");
 
-/// Serialize / parse (plain text, one workload per line).
+/// Serialize / parse (plain text, one workload per line). Parse returns {}
+/// when any line is malformed, including a line with fields left over.
 std::string SerializeWorkloads(const std::vector<core::VideoWorkload>& ws);
 std::vector<core::VideoWorkload> ParseWorkloads(const std::string& text);
 

@@ -209,8 +209,7 @@ int main(int argc, char** argv) {
 
   runtime::RuntimeConfig fleet_config;
   fleet_config.nn_input_size = 32;
-  fleet_config.wan_parallelism = 2;
-  fleet_config.cloud_nn_parallelism = 2;
+  fleet_config.cloud_parallelism = 2;
   runtime::Runtime fleet_rt(fleet_config, &fleet_classifier);
 
   std::vector<std::unique_ptr<runtime::SieveSession>> fleet_sessions;

@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -12,8 +11,9 @@
 
 namespace sieve {
 
-/// A fixed-size pool of worker threads executing submitted tasks FIFO.
-/// Destruction drains outstanding tasks before joining (graceful shutdown).
+/// A fixed-size pool of worker threads running ParallelFor's helper tasks
+/// FIFO. Destruction drains outstanding tasks before joining (graceful
+/// shutdown).
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t num_threads);
@@ -21,20 +21,6 @@ class ThreadPool {
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueue a task; returns a future for its completion.
-  template <typename F>
-  auto Submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> result = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      tasks_.push([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return result;
-  }
 
   /// Run fn(i) for i in [0, n) and wait for all to finish. The calling
   /// thread runs iterations too, next to at most min(n - 1, size()) helper

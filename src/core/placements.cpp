@@ -82,8 +82,6 @@ Expected<VideoWorkload> BuildWorkload(synth::DatasetId id,
   const synth::DatasetSpec& spec = synth::GetDatasetSpec(id);
   VideoWorkload w;
   w.name = spec.name;
-  w.width = spec.width;
-  w.height = spec.height;
   w.fps = spec.fps;
 
   synth::SceneConfig config = synth::MakeDatasetConfig(id, 0, options.seed);
@@ -132,18 +130,9 @@ Expected<VideoWorkload> BuildWorkload(synth::DatasetId id,
                       .Encode(video.video);
   if (!fallback.ok()) return fallback.status();
 
-  std::size_t probe_semantic_iframes = 0, probe_iframe_payload = 0;
-  for (const auto& record : semantic->records) {
-    if (record.type == codec::FrameType::kIntra) {
-      ++probe_semantic_iframes;
-      probe_iframe_payload += record.payload_size;
-    }
-  }
-  w.semantic_iframes = Extrapolate(probe_semantic_iframes, scale);
-  w.semantic_iframe_payload = Extrapolate(probe_iframe_payload, byte_scale);
+  w.semantic_iframes = Extrapolate(semantic->IntraFrameCount(), scale);
   w.semantic_bytes = Extrapolate(semantic->bytes.size(), byte_scale);
   w.default_bytes = Extrapolate(fallback->bytes.size(), byte_scale);
-  w.default_iframes = Extrapolate(fallback->IntraFrameCount(), scale);
   w.uniform_selected = w.semantic_iframes;  // equal transfer budget (paper)
 
   // --- MSE selection on the raw frames ------------------------------------

@@ -38,19 +38,16 @@ bool UsesSemanticEncoding(Placement p) noexcept;
 /// measured on a probe slice and extrapolated to `total_frames`.
 struct VideoWorkload {
   std::string name;
-  int width = 0, height = 0;
   double fps = 30.0;
   std::size_t total_frames = 0;
 
   // Semantic encoding (tuned parameters).
   codec::KeyframeParams tuned;
   std::size_t semantic_iframes = 0;
-  std::size_t semantic_bytes = 0;          ///< whole semantic container
-  std::size_t semantic_iframe_payload = 0; ///< summed I-frame payload bytes
+  std::size_t semantic_bytes = 0;  ///< whole semantic container
 
   // Default encoding (GOP 250 / scenecut 40).
   std::size_t default_bytes = 0;
-  std::size_t default_iframes = 0;
 
   // Baseline selections on the default-encoded stream.
   std::size_t uniform_selected = 0;  ///< == semantic_iframes (fair budget)
@@ -58,10 +55,6 @@ struct VideoWorkload {
 
   // Transfer unit: a selected frame resized to 300x300 and still-encoded.
   std::size_t still_bytes = 0;
-
-  double semantic_iframe_rate() const noexcept {
-    return total_frames ? double(semantic_iframes) / double(total_frames) : 0;
-  }
 };
 
 struct WorkloadOptions {

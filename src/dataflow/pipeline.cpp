@@ -10,7 +10,7 @@
 
 namespace sieve::dataflow {
 
-// Sequencing state of one ordered stage. Pops are serialized under
+// Sequencing state of one parallel stage. Pops are serialized under
 // pop_mutex so the sequence numbers mirror the inbound queue order; emits
 // wait under emit_mutex until their turn, so the outbound queue sees the
 // inbound order even with N workers transforming concurrently. A filtered
@@ -38,14 +38,14 @@ Pipeline::~Pipeline() {
 }
 
 void Pipeline::AddStage(std::string name, TransformFn transform,
-                        int parallelism, bool ordered) {
+                        int parallelism) {
   std::lock_guard<std::mutex> lock(mutex_);
   // Configuration is frozen once started: live workers index into stages_,
   // so growing it mid-flight would race a vector reallocation.
   assert(!started_ && "Pipeline: AddStage after Start()");
   if (started_) return;
   stages_.push_back(StageSpec{std::move(name), std::move(transform),
-                              std::max(1, parallelism), ordered});
+                              std::max(1, parallelism)});
 }
 
 void Pipeline::SetSink(std::string name, SinkFn sink) {
@@ -100,9 +100,8 @@ Status Pipeline::Start() {
   gates_.reserve(stages_.size());
   for (const auto& stage : stages_) {
     live_workers_.push_back(std::make_unique<std::atomic<int>>(stage.parallelism));
-    gates_.push_back(stage.ordered && stage.parallelism > 1
-                         ? std::make_unique<OrderedGate>()
-                         : nullptr);
+    gates_.push_back(stage.parallelism > 1 ? std::make_unique<OrderedGate>()
+                                           : nullptr);
   }
   for (std::size_t s = 0; s < stages_.size(); ++s) {
     for (int w = 0; w < stages_[s].parallelism; ++w) {

@@ -54,8 +54,7 @@ PlacementPlan ResolvePlacement(PlacementMode mode,
 
 nn::PartitionInput MeasurePlannerInput(const nn::FrameClassifier& classifier,
                                        int nn_input_size, int still_qp,
-                                       const net::LinkModel& wan,
-                                       double cloud_speedup) {
+                                       const net::LinkModel& wan) {
   nn::PartitionInput input;
   input.profile = classifier.network().ProfileLayers(kPlannerProfilePasses);
   // What split 0 actually ships: a transcoded still of the NN input frame.
@@ -70,7 +69,6 @@ nn::PartitionInput MeasurePlannerInput(const nn::FrameClassifier& classifier,
   input.input_bytes = codec::EncodeStill(probe, still_qp).size();
   input.bandwidth_mbps = wan.bandwidth_mbps;
   input.rtt_ms = wan.rtt_ms;
-  input.cloud_speedup = cloud_speedup;
   return input;
 }
 

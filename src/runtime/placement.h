@@ -12,11 +12,11 @@
 //                                          and the centroid match; only the
 //                                          label crosses to the cloud tier)
 //   mode kAuto  -> split k chosen by nn::ChooseSplit from the measured
-//                  per-layer profile and the session's WAN link model
+//                  per-layer profile and the runtime's WAN link model
 //
 // Different sessions on one Runtime carry different plans concurrently —
-// the heterogeneous-fleet scenario where a camera behind a weak uplink runs
-// edge-heavy while one next to the cloud ships everything.
+// the heterogeneous-fleet scenario where one camera runs edge-heavy while
+// another ships everything.
 #pragma once
 
 #include <cstddef>
@@ -64,10 +64,10 @@ PlacementPlan ResolvePlacement(PlacementMode mode,
 /// transcoded still of the NN input frame, really encoded — not guessed
 /// from tensor sizes). This is the one implementation both the Runtime
 /// (kAuto opens, cached) and the bench (predicted-latency columns) use, so
-/// their predictions never diverge.
+/// their predictions never diverge. The cloud speedup stays at
+/// nn::PartitionInput's default.
 nn::PartitionInput MeasurePlannerInput(const nn::FrameClassifier& classifier,
                                        int nn_input_size, int still_qp,
-                                       const net::LinkModel& wan,
-                                       double cloud_speedup);
+                                       const net::LinkModel& wan);
 
 }  // namespace sieve::runtime

@@ -48,6 +48,9 @@ std::optional<media::Frame> UnpackFrame(std::span<const std::uint8_t> bytes,
   return frame;
 }
 
+// Bound of every connection in the shared edge/cloud chain.
+constexpr std::size_t kChainQueueCapacity = 8;
+
 // The incarnation sequence minted into a route ("gate-7#12" -> 12).
 std::uint64_t RouteSeq(const std::string& route) {
   const auto pos = route.rfind('#');
@@ -196,7 +199,8 @@ Status SieveSession::PushWire(codec::FrameType type, std::uint64_t frame_index,
     st.pushed.fetch_sub(1, std::memory_order_acq_rel);
     // A Drain() racing this failed push may already be waiting on the
     // transiently inflated count; retaking the lock and notifying ensures
-    // its predicate is re-evaluated (no Settle() will fire for this frame).
+    // its predicate is re-evaluated (no RecordOutcome will fire for this
+    // frame).
     {
       std::lock_guard<std::mutex> lock(st.mutex);
       st.settled_cv.notify_all();
@@ -287,18 +291,27 @@ Runtime::Runtime(RuntimeConfig config, const nn::FrameClassifier* classifier,
       registry_(std::make_shared<obs::Registry>()),
       wan_(config.edge_to_cloud, config.link_time_scale, config.wan_faults,
            config.wan_retry, config.wan_health),
-      pipeline_(config.queue_capacity, executor_),
+      pipeline_(kChainQueueCapacity, executor_),
       query_(std::make_shared<query::QueryService>(registry_)) {
-  if (config_.trace.enabled) {
-    obs::StartTracing(config_.trace.events_per_thread);
+  if (config_.trace.enabled) obs::StartTracing();
+  // The edge resizes I-frames to nn_input_size and InputTensor would
+  // silently resize them again to the network's input: refuse the mismatch.
+  const int n = config_.nn_input_size;
+  if (classifier_ != nullptr &&
+      !(classifier_->network().input_shape() == nn::Shape{3, n, n})) {
+    start_status_ = Status::Invalid(
+        "Runtime: nn_input_size " + std::to_string(n) +
+        " does not match the classifier input " +
+        classifier_->network().input_shape().ToString());
+  } else if (config_.store.enabled()) {
+    // Boot-time recovery runs before the tiers exist, let alone a session:
+    // by the time OpenSession can be called, the index already serves
+    // every journaled camera and `recovered_` stages the resumable ones.
+    RecoverFromStore();
   }
-  // Boot-time recovery runs before the tiers exist, let alone a session:
-  // by the time OpenSession can be called, the index already serves every
-  // journaled camera and `recovered_` stages the resumable ones.
-  if (config_.store.enabled()) RecoverFromStore();
   BuildTiers();
-  // Recovery failure (unusable store dir) already poisoned start_status_;
-  // don't let a clean pipeline start mask it.
+  // A size mismatch or a recovery failure (unusable store dir) already
+  // poisoned start_status_; don't let a clean pipeline start mask it.
   if (start_status_.ok()) start_status_ = pipeline_.Start();
 }
 
@@ -407,8 +420,8 @@ void Runtime::BuildTiers() {
 
   // --- Edge: decompress the I-frame like a still and resize it to the NN
   // input. The raw resized frame goes on to the edge NN, which codes only
-  // what the frame's placement needs. Runs transcode_parallelism workers;
-  // the ordered flag keeps every camera's frames in push order downstream.
+  // what the frame's placement needs. Runs edge_parallelism workers; the
+  // ordered gate keeps every camera's frames in push order downstream.
   pipeline_.AddStage(
       "edge/still-transcode",
       [this](dataflow::FlowFile file) -> std::optional<dataflow::FlowFile> {
@@ -437,7 +450,7 @@ void Runtime::BuildTiers() {
         out.SetAttribute("kind", kKindFrame);
         return out;
       },
-      config_.transcode_parallelism, /*ordered=*/true);
+      config_.edge_parallelism);
 
   // --- Edge: the session's share of the split forward pass ----------------
   // split == 0: encode the still; the cloud runs the whole network.
@@ -497,7 +510,7 @@ void Runtime::BuildTiers() {
         out.SetAttribute("camera", session->route);
         return out;
       },
-      config_.edge_nn_parallelism, /*ordered=*/true);
+      config_.edge_parallelism);
 
   // --- Edge -> cloud WAN (shared hop, per-camera accounting). Labels from
   // all-edge sessions ride out-of-band (the old kEdge tier's contract:
@@ -558,11 +571,11 @@ void Runtime::BuildTiers() {
         MaybeReactToWanHealth();
         return file;
       },
-      config_.wan_parallelism, /*ordered=*/true);
+      config_.cloud_parallelism);
 
   // --- Cloud: the widened NN stage. Decodes and validates every payload and
   // finishes the split (suffix layers + centroid match) in parallel
-  // (cloud_nn_parallelism workers, order-kept per camera), emitting a label
+  // (cloud_parallelism workers, order-kept per camera), emitting a label
   // file for the sink to record.
   pipeline_.AddStage(
       "cloud/nn",
@@ -622,10 +635,10 @@ void Runtime::BuildTiers() {
         out.SetAttribute("camera", session->route);
         return out;
       },
-      config_.cloud_nn_parallelism, /*ordered=*/true);
+      config_.cloud_parallelism);
 
   // --- Cloud sink: record results into the per-camera databases. Serial on
-  // purpose — the ordered stages upstream order only their *emissions*, so
+  // purpose — the parallel stages upstream order only their *emissions*, so
   // one sink thread is what keeps each camera's inserts (and so its journal
   // appends and query-index publications) in frame order; the db insert
   // itself is cheap.
@@ -657,23 +670,18 @@ void Runtime::BuildTiers() {
   });
 }
 
-nn::PartitionInput Runtime::PlannerInput(const SessionConfig& config) {
-  return PlannerInputForModel(config.wan_hint.value_or(config_.edge_to_cloud));
-}
-
 nn::PartitionInput Runtime::PlannerInputForModel(const net::LinkModel& wan) {
   std::lock_guard<std::mutex> lock(planner_mutex_);
   if (planner_cache_.profile.empty()) {
     nn::PartitionInput measured =
         MeasurePlannerInput(*classifier_, config_.nn_input_size,
-                            config_.still_qp, wan, config_.cloud_speedup);
+                            config_.still_qp, wan);
     planner_cache_.profile = std::move(measured.profile);
     planner_cache_.still_bytes = measured.input_bytes;
   }
   nn::PartitionInput input;
   input.profile = planner_cache_.profile;
   input.input_bytes = planner_cache_.still_bytes;
-  input.cloud_speedup = config_.cloud_speedup;
   input.bandwidth_mbps = wan.bandwidth_mbps;
   input.rtt_ms = wan.rtt_ms;
   return input;
@@ -813,7 +821,8 @@ Expected<std::unique_ptr<SieveSession>> Runtime::OpenSession(
   if (mode == PlacementMode::kDefault) mode = PlacementMode::kCloud;
   const PlacementPlan plan = ResolvePlacement(
       mode,
-      mode == PlacementMode::kAuto ? PlannerInput(config) : nn::PartitionInput{},
+      mode == PlacementMode::kAuto ? PlannerInputForModel(config_.edge_to_cloud)
+                                   : nn::PartitionInput{},
       classifier_->network().LayerCount(), config.fixed_split);
 
   std::shared_ptr<internal::SessionState> state;
@@ -833,27 +842,6 @@ Expected<std::unique_ptr<SieveSession>> Runtime::OpenSession(
       return Status::Invalid("OpenSession: camera id '" + camera_id +
                              "' is still open");
     }
-    // Admission control: count what is actually open right now.
-    std::size_t open_sessions = 0;
-    double pixel_rate = 0.0;
-    for (const auto& [id, st] : by_id_) {
-      if (st->closed.load(std::memory_order_acquire)) continue;
-      ++open_sessions;
-      pixel_rate += double(st->header.width) * double(st->header.height) *
-                    st->header.fps;
-    }
-    if (config_.max_sessions != 0 && open_sessions >= config_.max_sessions) {
-      return Status::Exhausted("OpenSession: max_sessions (" +
-                               std::to_string(config_.max_sessions) +
-                               ") already open");
-    }
-    const double session_rate =
-        double(config.width) * double(config.height) * config.fps;
-    if (config_.max_aggregate_pixel_rate > 0.0 &&
-        pixel_rate + session_rate > config_.max_aggregate_pixel_rate) {
-      return Status::Exhausted(
-          "OpenSession: aggregate pixel rate budget exhausted");
-    }
     if (auto rec = recovered_.find(camera_id); rec != recovered_.end()) {
       resume = std::move(rec->second);
       recovered_.erase(rec);
@@ -866,8 +854,8 @@ Expected<std::unique_ptr<SieveSession>> Runtime::OpenSession(
     const codec::ContainerHeader header{config.width, config.height, config.fps,
                                         0, std::uint8_t(config.encoder.qp)};
     state = std::make_shared<internal::SessionState>(
-        camera_id, route, header, config.queue_capacity,
-        config_.camera_to_edge, config_.link_time_scale, registry_);
+        camera_id, route, header, config_.camera_to_edge,
+        config_.link_time_scale, registry_);
     // Trace exports label this session's track by its route, so two
     // incarnations of one camera id stay distinguishable in the viewer.
     obs::NameTrack(state->track, route);

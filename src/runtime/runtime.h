@@ -36,7 +36,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -69,7 +68,6 @@ struct TraceOptions {
   /// databases, and reports are byte-identical either way (the bench's
   /// trace_overhead scenario gates both properties).
   bool enabled = false;
-  std::size_t events_per_thread = 16384;  ///< per-thread ring capacity
   /// When non-empty, Shutdown writes a Chrome trace_event JSON here
   /// (load in chrome://tracing or ui.perfetto.dev).
   std::string chrome_trace_path;
@@ -87,32 +85,17 @@ struct RuntimeConfig {
   /// Wall-clock scale for link waits (0 = account bytes but never sleep;
   /// 1 = real time). Tests compress time; demos use small nonzero values.
   double link_time_scale = 0.0;
-  /// Planner input for kAuto sessions: cloud compute speed relative to the
-  /// edge (nn::PartitionInput::cloud_speedup).
-  double cloud_speedup = 3.0;
-  int nn_input_size = 96;   ///< classifier input (even)
-  int still_qp = 26;
-  std::size_t queue_capacity = 8;  ///< edge-chain connection bound
-  int transcode_parallelism = 1;   ///< still-transcode workers (order-kept)
-  /// Edge-NN stage workers (order-kept, like transcode_parallelism): scales
-  /// the prefix/full forward passes of all-edge and split sessions across
-  /// the fan-in. Per-camera result order is preserved (the stage runs
-  /// ordered), so scaling it is invisible to the query layer and the dbs.
-  int edge_nn_parallelism = 1;
-  /// WAN-stage workers (order-kept): concurrent reliable sends over the
-  /// shared hop. The transport and meters are internally synchronized; the
-  /// ordered gate keeps per-camera delivery order. With many sessions the
-  /// serial WAN worker is the first fan-in bottleneck.
-  int wan_parallelism = 1;
-  /// Cloud-NN stage workers (order-kept): parallel payload decode,
-  /// validation and the per-frame suffix inference.
-  int cloud_nn_parallelism = 1;
-  /// Admission control: maximum concurrently open sessions (0 = unlimited).
-  /// Over-capacity OpenSession calls fail with kResourceExhausted.
-  std::size_t max_sessions = 0;
-  /// Admission control: cap on the summed width*height*fps of open sessions
-  /// (pixels/second, 0 = unlimited) — the edge tier's decode budget.
-  double max_aggregate_pixel_rate = 0.0;
+  /// Edge NN input side: the edge resizes I-frames to this square before
+  /// coding them. Must equal the classifier's input_size; construction
+  /// fails with kInvalid otherwise.
+  int nn_input_size = 96;
+  static constexpr int still_qp = 26;  ///< quantizer of edge-coded stills
+  /// Workers per edge stage (still transcode, edge NN) and per cloud stage
+  /// (WAN send, cloud NN). Every parallel stage is order-kept (the
+  /// pipeline's ordered gate), so per-camera results, database inserts and
+  /// query events come out in push order at any width.
+  int edge_parallelism = 1;
+  int cloud_parallelism = 1;
   /// Scripted chaos on the shared WAN hop (default: a perfect link). The
   /// schedule is seeded and scripted on the link's virtual clock, so runs
   /// replay exactly (docs/robustness.md).
@@ -171,7 +154,6 @@ struct SessionConfig {
   /// n > 1 = a private pool. `encoder.qp` also sets the edge decode context
   /// for frames pushed pre-encoded.
   codec::EncoderParams encoder;
-  std::size_t queue_capacity = 8;  ///< per-camera ingress bound (backpressure)
   /// Where this camera's classifier runs (kDefault follows the runtime's
   /// default_placement). kAuto asks the Neurosurgeon-style planner to pick
   /// the latency-optimal layer split at OpenSession time; kFixed pins
@@ -179,10 +161,6 @@ struct SessionConfig {
   PlacementMode placement = PlacementMode::kDefault;
   /// The pinned layer split for kFixed (clamped to [0, LayerCount()]).
   std::size_t fixed_split = 0;
-  /// Planner-only override of the WAN model for this session (a camera
-  /// behind a weaker uplink than RuntimeConfig::edge_to_cloud). Activation
-  /// bytes still cross the runtime's shared realized WAN hop.
-  std::optional<net::LinkModel> wan_hint;
 };
 
 /// Per-camera outcome, returned by SieveSession::Drain().
@@ -242,6 +220,10 @@ struct SessionReport {
 
 namespace internal {
 
+/// Per-camera ingress bound: a camera whose edge queue is full blocks in
+/// PushFrame (its private backpressure domain).
+inline constexpr std::size_t kCameraQueueCapacity = 8;
+
 /// How one in-flight frame settled (the delivered-vs-dropped ledger).
 enum class FrameOutcome {
   kStoredEdge,      ///< P-frame: filtered by the seeker, stored edge-side
@@ -276,14 +258,13 @@ struct SessionMetrics {
 /// it, so a session handle stays valid even past Runtime shutdown.
 struct SessionState {
   SessionState(std::string id, std::string route_key,
-               const codec::ContainerHeader& hdr, std::size_t queue_capacity,
-               const net::LinkModel& lan, double time_scale,
-               std::shared_ptr<obs::Registry> reg)
+               const codec::ContainerHeader& hdr, const net::LinkModel& lan,
+               double time_scale, std::shared_ptr<obs::Registry> reg)
       : camera_id(std::move(id)),
         route(std::move(route_key)),
         track(obs::HashTrack(route)),
         header(hdr),
-        camera_queue(queue_capacity),
+        camera_queue(kCameraQueueCapacity),
         camera_edge(lan, time_scale) {
     BindMetrics(std::move(reg));
   }
@@ -291,13 +272,6 @@ struct SessionState {
   /// Resolve this session's registry handles ("session.<route>.*"). Called
   /// from the constructor so no frame can ever observe an unbound handle.
   void BindMetrics(std::shared_ptr<obs::Registry> reg);
-
-  /// Mark one in-flight frame fully handled (filtered, failed, or labelled).
-  void Settle() {
-    std::lock_guard<std::mutex> lock(mutex);
-    ++settled;
-    settled_cv.notify_all();
-  }
 
   /// Settle one frame AND account for how it ended: outcome counters plus,
   /// for delivered frames, the push-to-settle latency (the flow file's
@@ -523,12 +497,10 @@ class Runtime {
   /// seal sealed incarnations, and stage unsealed ones in `recovered_` for
   /// reconnecting cameras. Bumps session_seq_ past every recovered route.
   void RecoverFromStore();
-  /// Planner input for a kAuto session: the lazily measured per-layer
-  /// profile (cached across sessions), the session's WAN model, and the
-  /// measured size of a transcoded still (what split 0 ships).
-  nn::PartitionInput PlannerInput(const SessionConfig& config);
-  /// Planner input against an explicit WAN model (replans use the measured
-  /// EffectiveModel instead of the configured one).
+  /// Planner input against a WAN model: the lazily measured per-layer
+  /// profile (cached across sessions) and the measured size of a
+  /// transcoded still (what split 0 ships). kAuto opens pass
+  /// RuntimeConfig::edge_to_cloud; replans pass the measured EffectiveModel.
   nn::PartitionInput PlannerInputForModel(const net::LinkModel& wan);
   /// Swap every open session's plan to match the given WAN health:
   /// kDown -> edge-only fallback, kDegraded -> replan against the measured

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -11,23 +11,6 @@
 
 namespace sieve {
 namespace {
-
-TEST(ThreadPool, ExecutesSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.Submit([&counter] { counter.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, ReturnsValuesThroughFutures) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   ThreadPool pool(4);
@@ -85,15 +68,22 @@ TEST(ThreadPool, ParallelForOfOneRunsOnCaller) {
 }
 
 TEST(ThreadPool, ParallelForInsideTaskOnOneWorkerPoolCompletes) {
-  // The only worker issues the loop, so no helper can ever start while it
-  // runs: the caller has to drain every index itself.
+  // The caller holds index 0 until the only worker has claimed index 1, so
+  // the inner loop is issued from the worker itself: no helper can ever
+  // start while it runs, and the worker has to drain every index alone.
   ThreadPool pool(1);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> worker_entered{false};
   std::atomic<int> sum{0};
-  auto done = pool.Submit([&] {
+  pool.ParallelFor(2, [&](std::size_t) {
+    if (std::this_thread::get_id() == caller) {
+      while (!worker_entered.load()) std::this_thread::yield();
+      return;
+    }
+    worker_entered.store(true);
     pool.ParallelFor(16, [&sum](std::size_t i) { sum.fetch_add(int(i)); });
   });
-  ASSERT_EQ(done.wait_for(std::chrono::seconds(30)), std::future_status::ready);
-  done.get();
+  EXPECT_TRUE(worker_entered.load());
   EXPECT_EQ(sum.load(), 120);
 }
 
@@ -107,46 +97,45 @@ TEST(ThreadPool, NestedParallelForOnSaturatedPoolCompletes) {
 }
 
 TEST(ThreadPool, LateHelperClaimsNothingAfterReturn) {
-  // Both workers are parked, so the loop's helper tasks queue behind them
-  // and the caller runs every iteration. The helpers start only after
-  // ParallelFor returned and must not call fn again.
-  ThreadPool pool(2);
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  std::vector<std::future<void>> parked;
-  for (int w = 0; w < 2; ++w) parked.push_back(pool.Submit([gate] { gate.wait(); }));
-  const auto caller = std::this_thread::get_id();
+  // Both workers are parked in a loop issued from another thread, so the
+  // next loop's helper tasks queue behind them and the caller runs every
+  // iteration. The helpers start only after ParallelFor returned, and the
+  // pool's destructor drains them: none may call fn again.
   std::atomic<int> calls{0};
   std::atomic<bool> off_caller{false};
-  pool.ParallelFor(8, [&](std::size_t) {
-    calls.fetch_add(1);
-    if (std::this_thread::get_id() != caller) off_caller.store(true);
-  });
+  {
+    ThreadPool pool(2);
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    std::atomic<int> parked{0};
+    std::thread parker([&] {
+      pool.ParallelFor(3, [&](std::size_t) {
+        parked.fetch_add(1);
+        gate.wait();
+      });
+    });
+    // The parker and both workers each hold one index.
+    while (parked.load() < 3) std::this_thread::yield();
+    const auto caller = std::this_thread::get_id();
+    pool.ParallelFor(8, [&](std::size_t) {
+      calls.fetch_add(1);
+      if (std::this_thread::get_id() != caller) off_caller.store(true);
+    });
+    EXPECT_EQ(calls.load(), 8);
+    EXPECT_FALSE(off_caller.load());
+    release.set_value();
+    parker.join();
+  }  // the destructor runs both late helpers before joining
   EXPECT_EQ(calls.load(), 8);
   EXPECT_FALSE(off_caller.load());
-  release.set_value();
-  for (auto& f : parked) f.get();
-  pool.Submit([] {}).get();  // the FIFO queue has run both helpers by now
-  pool.Submit([] {}).get();
-  EXPECT_EQ(calls.load(), 8);
 }
 
 TEST(ThreadPool, ZeroRequestedThreadsClampsToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1u);
-  auto f = pool.Submit([] { return 1; });
-  EXPECT_EQ(f.get(), 1);
-}
-
-TEST(ThreadPool, DrainsTasksOnDestruction) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-  }  // destructor must run all 50
-  EXPECT_EQ(counter.load(), 50);
+  std::atomic<int> sum{0};
+  pool.ParallelFor(4, [&sum](std::size_t i) { sum.fetch_add(int(i)); });
+  EXPECT_EQ(sum.load(), 6);
 }
 
 }  // namespace

@@ -9,15 +9,11 @@ namespace {
 VideoWorkload TestWorkload() {
   VideoWorkload w;
   w.name = "test";
-  w.width = 640;
-  w.height = 360;
   w.fps = 30;
   w.total_frames = 100000;
   w.semantic_iframes = 2000;        // 2%
   w.semantic_bytes = 500000000;     // 500 MB
-  w.semantic_iframe_payload = 60000000;
   w.default_bytes = 450000000;      // semantic is ~11% larger
-  w.default_iframes = 400;
   w.uniform_selected = 2000;
   w.mse_selected = 5000;            // 2.5x the I-frames
   w.still_bytes = 20000;            // 20 KB per shipped frame

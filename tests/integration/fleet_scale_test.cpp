@@ -97,8 +97,7 @@ void ExpectReconciled(const SessionReport& r) {
 RuntimeConfig FleetConfig() {
   RuntimeConfig config;
   config.nn_input_size = 32;
-  config.wan_parallelism = 2;
-  config.cloud_nn_parallelism = 2;
+  config.cloud_parallelism = 2;
   return config;
 }
 

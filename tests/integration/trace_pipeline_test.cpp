@@ -51,7 +51,7 @@ struct RunResult {
 /// session, emitting encode spans on the session's track), 15% loss with a
 /// deep retry budget (every I-frame eventually delivers — the delivered
 /// SET is deterministic even though the retry pattern is not), per-frame
-/// cloud inference on two workers.
+/// WAN sends and cloud inference on two workers each.
 RunResult RunPipeline(const synth::SyntheticVideo& scene,
                       nn::FrameClassifier* classifier) {
   RuntimeConfig config;
@@ -60,7 +60,7 @@ RunResult RunPipeline(const synth::SyntheticVideo& scene,
   config.wan_faults.drop_probability = 0.15;
   config.wan_retry.max_attempts = 8;
   config.adaptive_placement = false;
-  config.cloud_nn_parallelism = 2;
+  config.cloud_parallelism = 2;
   Runtime runtime(config, classifier);
 
   SessionConfig sc;
